@@ -2,6 +2,7 @@
 #
 #   make        — build + test (the tier-1 verify)
 #   make race   — full suite under the race detector
+#   make stress — repeat the timing-based rfs/ipc tests at 1 and 2 CPUs
 #   make bench  — paper-reproduction benchmarks (root) + parallel IPC benchmarks
 
 GO ?= go
@@ -9,7 +10,7 @@ GO ?= go
 # stable local numbers.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache bench-shard bench-transport bench-replica obs-smoke check
+.PHONY: all build test race stress vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache bench-shard bench-transport bench-replica obs-smoke check
 
 all: build test
 
@@ -21,6 +22,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The rfs and ipc suites lean on timeouts, polls and goroutine
+# scheduling; one pass rarely shows a flake that hits a run in ten.
+# Repeat them at GOMAXPROCS 1 and 2. STRESSCOUNT is the repeat count per
+# CPU setting (small in CI; raise it locally, e.g. STRESSCOUNT=50).
+STRESSCOUNT ?= 10
+stress:
+	$(GO) test -count=$(STRESSCOUNT) -cpu 1,2 ./internal/rfs ./internal/ipc
 
 vet:
 	$(GO) vet ./...

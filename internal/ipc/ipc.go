@@ -109,9 +109,12 @@ type NodeConfig struct {
 	InlineSegMax int
 	// ChunkSize bounds bulk-transfer data packets.
 	ChunkSize int
-	// GetPidTimeout bounds one broadcast name-lookup round.
+	// GetPidTimeout is the longest broadcast name-lookup round. GetPid's
+	// first round lasts a sixteenth of it and each later round doubles
+	// up to it; GetPidAll's rounds all last this long.
 	GetPidTimeout time.Duration
-	// GetPidRetries bounds lookup rounds.
+	// GetPidRetries sets a lookup's patience: a name nobody holds
+	// resolves to Nil after (GetPidRetries+1)·GetPidTimeout.
 	GetPidRetries int
 	// ReceiveQueueDepth bounds each process's FCFS receive queue. A Send
 	// to a process whose queue is full is shed: remote senders get a Nack

@@ -65,9 +65,13 @@ type moveResult struct {
 	err error
 }
 
-// moveRxState reassembles one inbound MoveTo stream; mu serializes the
-// contiguity check and the copy into the granted segment per stream.
+// moveRxState reassembles the newest inbound MoveTo stream between one
+// pair of processes; mu serializes the contiguity check and the copy
+// into the granted segment. A completed stream's state stays in place
+// (expected == count) so its late duplicates are re-acknowledged and
+// older streams' packets are recognised as stale.
 type moveRxState struct {
+	seq      uint32 // the stream's transfer sequence number; immutable
 	mu       sync.Mutex
 	expected uint32
 }
@@ -372,20 +376,27 @@ func (n *Node) handleMoveToData(pkt *vproto.Packet) {
 	pt.mu.Unlock()
 	defer ps.io.RUnlock()
 
+	// Transfers between one pair of processes are sequential — the
+	// receiver has one exchange pending with the sender at a time, and
+	// the sender's MoveTo completes before it replies — so only the
+	// pair's newest transfer may write. A packet from an older one (a
+	// duplicate resent before an early completion ack and delivered
+	// late, say) would land in the current exchange's segment. The
+	// pair, not the sender alone, keys the state: one server process
+	// streams to many clients at once. Sequence numbers compare
+	// wrap-aware, as the alien table's duplicate filter compares Sends.
 	mt := &n.moves
-	key := moveKey{src: pkt.Src, seq: pkt.Seq}
+	pair := movePair{src: pkt.Src, dst: pkt.Dst}
 	mt.rxMu.Lock()
-	st := mt.rx[key]
-	if st == nil {
-		if d, ok := mt.done[pkt.Src]; ok && d.seq == pkt.Seq {
-			mt.rxMu.Unlock()
-			if pkt.Flags&vproto.FlagLast != 0 {
-				n.sendMoveAck(pkt, d.count, true)
-			}
-			return
-		}
-		st = &moveRxState{}
-		mt.rx[key] = st
+	st := mt.rx[pair]
+	switch {
+	case st == nil || int32(pkt.Seq-st.seq) > 0:
+		st = &moveRxState{seq: pkt.Seq}
+		mt.rx[pair] = st
+	case pkt.Seq != st.seq:
+		mt.rxMu.Unlock()
+		n.stats.dupsFiltered.Add(1)
+		return
 	}
 	mt.rxMu.Unlock()
 
@@ -399,12 +410,6 @@ func (n *Node) handleMoveToData(pkt *vproto.Packet) {
 	received := st.expected
 	st.mu.Unlock()
 
-	if last && complete {
-		mt.rxMu.Lock()
-		mt.done[pkt.Src] = doneTransfer{seq: pkt.Seq, count: pkt.Count}
-		delete(mt.rx, key)
-		mt.rxMu.Unlock()
-	}
 	if last {
 		n.sendMoveAck(pkt, received, complete)
 	}

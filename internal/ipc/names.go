@@ -18,7 +18,10 @@ func (p *Proc) SetPid(logicalID uint32, pid Pid, scope Scope) {
 
 // GetPid resolves a logical id, broadcasting on the network when the
 // mapping is not known locally (§3.1); it returns vproto.Nil when the
-// lookup fails.
+// lookup fails. The first round lasts GetPidTimeout/16 and each later
+// one doubles up to GetPidTimeout, all within a patience of
+// (GetPidRetries+1)·GetPidTimeout — with the defaults, eight broadcasts
+// over 400 ms for a name nobody holds.
 func (p *Proc) GetPid(logicalID uint32, scope Scope) Pid {
 	n := p.node
 	t := &n.names
@@ -65,15 +68,26 @@ func (p *Proc) GetPid(logicalID uint32, scope Scope) Pid {
 		t.mu.Unlock()
 	}()
 
-	for attempt := 0; attempt <= n.cfg.GetPidRetries; attempt++ {
+	// Rounds back off from a short first one: a holder that registers a
+	// moment after the lookup starts (a cluster booting in any order) or
+	// a lost broadcast costs milliseconds, not a whole GetPidTimeout.
+	// The deadline keeps the patience at (GetPidRetries+1)·GetPidTimeout.
+	timeout := n.cfg.GetPidTimeout
+	deadline := time.Now().Add(time.Duration(n.cfg.GetPidRetries+1) * timeout)
+	for round := max(timeout/16, 1); ; round = min(2*round, timeout) {
+		wait := min(round, time.Until(deadline))
+		if wait <= 0 {
+			return vproto.Nil
+		}
 		_ = n.transport.Broadcast(f.Data)
+		timer := time.NewTimer(wait)
 		select {
 		case pid := <-ch:
+			timer.Stop()
 			return pid
-		case <-time.After(n.cfg.GetPidTimeout):
+		case <-timer.C:
 		}
 	}
-	return vproto.Nil
 }
 
 // handleGetPid answers broadcast lookups this node can resolve.
@@ -102,9 +116,11 @@ func (n *Node) handleGetPid(pkt *vproto.Packet) {
 // lookup round per GetPidTimeout until the window closes and collects
 // every distinct pid that answered (a locally registered mapping is
 // included without a broadcast). A window of zero selects the same
-// patience GetPid has: (GetPidRetries+1) rounds. Lossy networks are the
-// point of the repeated rounds — each round re-solicits the responders
-// whose earlier replies (or our earlier requests) were dropped.
+// patience GetPid has: (GetPidRetries+1)·GetPidTimeout. Lossy networks
+// are the point of the repeated rounds — each round re-solicits the
+// responders whose earlier replies (or our earlier requests) were
+// dropped. The window, not a backoff, bounds the collection, so every
+// round lasts the full GetPidTimeout.
 func (p *Proc) GetPidAll(logicalID uint32, scope Scope, window time.Duration) []Pid {
 	n := p.node
 	t := &n.names

@@ -152,14 +152,9 @@ type sendResult struct {
 	frame *bufpool.Buf // retained receive frame backing data; receiver releases
 }
 
-type moveKey struct {
-	src Pid
-	seq uint32
-}
-
-type doneTransfer struct {
-	seq   uint32
-	count uint32
+// movePair names the sending and the receiving process of a MoveTo.
+type movePair struct {
+	src, dst Pid
 }
 
 // NewNode creates a node with the given logical host id on a transport.

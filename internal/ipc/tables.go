@@ -240,14 +240,12 @@ type moveTable struct {
 	closed bool
 
 	rxMu sync.Mutex
-	rx   map[moveKey]*moveRxState
-	done map[Pid]doneTransfer
+	rx   map[movePair]*moveRxState
 }
 
 func (t *moveTable) init() {
 	t.m = make(map[uint32]*moveOp)
-	t.rx = make(map[moveKey]*moveRxState)
-	t.done = make(map[Pid]doneTransfer)
+	t.rx = make(map[movePair]*moveRxState)
 }
 
 // add registers op and arms its timeout atomically (see pendingTable.add).

@@ -194,22 +194,27 @@ func (c *blockCache) setNow(f func() time.Time) {
 	c.mu.Unlock()
 }
 
-// get returns the cached block with a reference for the caller (Release
-// when done), marking it most recently used. Callers must not mutate the
-// block's bytes.
-func (c *blockCache) get(id blockID) (*bufpool.Buf, bool) {
-	b, _, ok := c.getEnd(id)
-	return b, ok
+// getEnd returns the cached block with a reference for the caller
+// (Release when done) and its valid-byte extent (the in-file bytes for
+// clean blocks, the staged write extent for dirty ones), marking it most
+// recently used and counting the hit or miss. Callers must not mutate
+// the block's bytes.
+func (c *blockCache) getEnd(id blockID) (*bufpool.Buf, int, bool) {
+	b, end, ok := c.probe(id)
+	if !ok {
+		c.misses.Add(1)
+	}
+	return b, end, ok
 }
 
-// getEnd is get plus the block's valid-byte extent (the in-file bytes for
-// clean blocks, the staged write extent for dirty ones).
-func (c *blockCache) getEnd(id blockID) (*bufpool.Buf, int, bool) {
+// probe is getEnd without the miss count, for a lookup whose miss is
+// retried — and counted — through getEnd (the server's fast read path
+// hands a miss to a worker).
+func (c *blockCache) probe(id blockID) (*bufpool.Buf, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[id]
 	if !ok {
-		c.misses.Add(1)
 		return nil, 0, false
 	}
 	c.hits.Add(1)

@@ -9,76 +9,124 @@ import (
 	"vkernel/internal/obs"
 )
 
-// TestTracedWriteMultiNodeTimeline: a client-stamped trace id follows a
-// write through every hop it fans out to — the primary's request span,
-// the replication push, the replica's apply, and the write-behind flush
-// that eventually persists the block — each recorded in its own node's
-// trace ring, together forming a cross-node timeline for one request.
-// Timing stays disabled throughout: tracing alone must be enough to get
-// spans (with real durations), while the latency histograms stay empty.
-func TestTracedWriteMultiNodeTimeline(t *testing.T) {
-	c := startCluster(t, replConfig(false))
-	node := clientNode(t, c)
-	p := attach(t, node, "traced-writer")
-	router := newRouter(t, node)
-
-	cl := NewVolumeClient(p, router, 1)
-	trace := obs.NewTraceID()
-	cl.SetTrace(trace)
-
-	page := make([]byte, 512)
-	for i := range page {
-		page[i] = byte(i)
+// hasSpan reports whether cs's trace ring holds a span named what for
+// trace.
+func hasSpan(cs *ClusterServer, trace uint32, what string) bool {
+	for _, e := range cs.Srv.Metrics().Trace().EventsFor(trace) {
+		if e.What == what {
+			return true
+		}
 	}
-	for blk := uint32(0); blk < 4; blk++ {
-		if err := cl.WriteBlock(7, blk, page); err != nil {
+	return false
+}
+
+// writeBlocks writes blocks [from, to) of file through cl.
+func writeBlocks(t *testing.T, cl *Client, file, from, to uint32) {
+	t.Helper()
+	page := make([]byte, 512)
+	for blk := from; blk < to; blk++ {
+		page[0] = byte(blk)
+		if err := cl.WriteBlock(file, blk, page); err != nil {
 			t.Fatalf("write block %d: %v", blk, err)
 		}
 	}
+}
 
-	primary := shardWithRole(c, 1, RolePrimary)
-	replica := shardWithRole(c, 1, RoleReplica)
-	if primary == nil || replica == nil {
-		t.Fatal("cluster did not come up with a primary and a replica for volume 1")
-	}
+// TestTracedWriteMultiNodeTimeline: a client-stamped trace id follows a
+// write through every hop it fans out to — the primary's request span,
+// the replication fan-out, the replica's apply, and the write-behind
+// flush that eventually persists the block — each recorded in its own
+// node's trace ring, together forming a cross-node timeline for one
+// request. The fan-out leg is recorded whichever catch-up path carries
+// the record; the test pins the path instead of racing the replica's
+// enrollment: push once the replica is in-sync, pull when it comes back
+// from a crash further behind than the push slack.
+// Timing stays disabled throughout: tracing alone must be enough to get
+// spans (with real durations), while the latency histograms stay empty.
+func TestTracedWriteMultiNodeTimeline(t *testing.T) {
+	t.Run("push", func(t *testing.T) {
+		c := startCluster(t, replConfig(false))
+		node := clientNode(t, c)
+		router := newRouter(t, node)
+		cl := NewVolumeClient(attach(t, node, "traced-writer"), router, 1)
+		waitInSync(t, c, 1)
+		trace := obs.NewTraceID()
+		cl.SetTrace(trace)
+		writeBlocks(t, cl, 7, 0, 4)
 
-	// The request span is synchronous with the reply; replication and
-	// the write-behind flush land asynchronously, so poll for them.
-	has := func(cs *ClusterServer, what string) bool {
-		for _, e := range cs.Srv.Metrics().Trace().EventsFor(trace) {
-			if e.What == what {
-				return true
+		primary := shardWithRole(c, 1, RolePrimary)
+		replica := shardWithRole(c, 1, RoleReplica)
+		if primary == nil || replica == nil {
+			t.Fatal("cluster did not come up with a primary and a replica for volume 1")
+		}
+		// The request span is synchronous with the reply; replication
+		// and the write-behind flush land asynchronously, so poll.
+		if !hasSpan(primary, trace, "rfs.write_block") {
+			t.Fatalf("primary ring has no rfs.write_block span for trace %06x: %+v",
+				trace, primary.Srv.Metrics().Trace().Events())
+		}
+		waitUntil(t, 5*time.Second, "replication push span on the primary", func() bool {
+			return hasSpan(primary, trace, "repl.push")
+		})
+		waitUntil(t, 5*time.Second, "apply span on the replica", func() bool {
+			return hasSpan(replica, trace, "repl.apply")
+		})
+		waitUntil(t, 5*time.Second, "write-behind flush span on the primary", func() bool {
+			return hasSpan(primary, trace, "rfs.flush")
+		})
+
+		// Spans must carry real durations even though timing is off: a
+		// traced request forces the clock on for itself alone.
+		for _, e := range primary.Srv.Metrics().Trace().EventsFor(trace) {
+			if e.What == "rfs.write_block" && e.Dur <= 0 {
+				t.Fatalf("traced write span has no duration: %+v", e)
 			}
 		}
-		return false
-	}
-	if !has(primary, "rfs.write_block") {
-		t.Fatalf("primary ring has no rfs.write_block span for trace %06x: %+v",
-			trace, primary.Srv.Metrics().Trace().Events())
-	}
-	waitUntil(t, 5*time.Second, "replication push span on the primary", func() bool {
-		return has(primary, "repl.push")
-	})
-	waitUntil(t, 5*time.Second, "apply span on the replica", func() bool {
-		return has(replica, "repl.apply")
-	})
-	waitUntil(t, 5*time.Second, "write-behind flush span on the primary", func() bool {
-		return has(primary, "rfs.flush")
+		if primary.Srv.Metrics().TimingEnabled() {
+			t.Fatal("tracing a request must not flip global timing on")
+		}
+		if h := primary.Srv.Metrics().Histogram("rfs.op.write_block").Stat(); h.Count != 0 {
+			t.Fatalf("latency histogram filled with timing disabled: %+v", h)
+		}
 	})
 
-	// Spans must carry real durations even though timing is off: a
-	// traced request forces the clock on for itself alone.
-	for _, e := range primary.Srv.Metrics().Trace().EventsFor(trace) {
-		if e.What == "rfs.write_block" && e.Dur <= 0 {
-			t.Fatalf("traced write span has no duration: %+v", e)
+	t.Run("pull", func(t *testing.T) {
+		cfg := replConfig(false)
+		cfg.Shards = 3
+		cfg.Replicas = 2
+		c := startCluster(t, cfg)
+		node := clientNode(t, c)
+		router := newRouter(t, node)
+		cl := NewVolumeClient(attach(t, node, "traced-writer"), router, 1)
+		// With both replicas enrolled from sequence 0 the log reaches
+		// back to the first write, so the crashed replica's catch-up is
+		// a pull, not a snapshot; the surviving replica keeps the log.
+		waitInSync(t, c, 1)
+		var victim int
+		for _, cs := range c.Servers {
+			if r, ok := cs.Srv.Role(1); ok && r == RoleReplica {
+				victim = cs.Index
+			}
 		}
-	}
-	if primary.Srv.Metrics().TimingEnabled() {
-		t.Fatal("tracing a request must not flip global timing on")
-	}
-	if h := primary.Srv.Metrics().Histogram("rfs.op.write_block").Stat(); h.Count != 0 {
-		t.Fatalf("latency histogram filled with timing disabled: %+v", h)
-	}
+		c.Kill(victim)
+
+		trace := obs.NewTraceID()
+		cl.SetTrace(trace)
+		writeBlocks(t, cl, 7, 0, 4)
+		cl.SetTrace(0)
+		writeBlocks(t, cl, 8, 0, repPushSlack+40)
+
+		if err := c.Restart(victim); err != nil {
+			t.Fatal(err)
+		}
+		primary := shardWithRole(c, 1, RolePrimary)
+		waitUntil(t, 5*time.Second, "replication pull span on the primary", func() bool {
+			return hasSpan(primary, trace, "repl.pull")
+		})
+		waitUntil(t, 5*time.Second, "apply span on the restarted replica", func() bool {
+			return hasSpan(c.Servers[victim], trace, "repl.apply")
+		})
+	})
 }
 
 // TestScrapeDuringFailover: stats scraping is a bystander. Concurrent
@@ -96,6 +144,14 @@ func TestScrapeDuringFailover(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var stopOnce sync.Once
+	halt := func() {
+		stopOnce.Do(func() { close(stop) })
+		wg.Wait()
+	}
+	// A failing assertion must not leave the scrapers spinning into the
+	// tests that run after this one.
+	t.Cleanup(halt)
 	errc := make(chan error, 4)
 
 	// One scraper per shard, each with its own proc and pinned client:
@@ -206,8 +262,7 @@ func TestScrapeDuringFailover(t *testing.T) {
 		}
 	}
 
-	close(stop)
-	wg.Wait()
+	halt()
 	select {
 	case err := <-errc:
 		t.Fatal(err)

@@ -146,6 +146,10 @@ func (rs *replState) append(kind byte, file, off, trace uint32, parts ...[]byte)
 	rs.seq++
 	seq := rs.seq
 	if len(rs.replicas) == 0 {
+		// Drop what the last member left behind with the position: the
+		// log must stay the contiguous run [logStart, seq], or a later
+		// member's sender would index the wrong record.
+		rs.log, rs.logBytes = nil, 0
 		rs.logStart = seq + 1
 	} else {
 		var data []byte
@@ -405,6 +409,34 @@ func (rs *replState) pullRecords(rid, from uint32, maxBytes int) (recs []repReco
 	return recs, rs.seq, true
 }
 
+// tracedUpTo returns the logged traced records with sequence at most
+// seq — the traced writes a snapshot taken at seq carries.
+func (rs *replState) tracedUpTo(seq uint32) []repRecord {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	var recs []repRecord
+	for _, rec := range rs.log {
+		if rec.seq > seq {
+			break
+		}
+		if rec.trace != 0 {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// traceRecords logs a span for each traced record in recs on the
+// primary's ring: the fan-out leg of a traced write that reached a
+// replica by pull or snapshot rather than by push.
+func (s *Server) traceRecords(recs []repRecord, what string, dur time.Duration) {
+	for i := range recs {
+		if recs[i].trace != 0 {
+			s.metrics.Trace().Record(recs[i].trace, what, uint64(recs[i].seq), dur)
+		}
+	}
+}
+
 // heartbeat renews a member's lease and answers with the promotion
 // candidate (lowest in-sync replica id). Unknown members are told to
 // rejoin; stale members are pruned while we are here.
@@ -570,7 +602,8 @@ func (s *Server) handleRepJoin(v *volume, req *request) {
 }
 
 // handleRepPull serves OpRepPull: encoded records MoveTo-streamed into
-// the replica's grant, batch bounded by the grant size.
+// the replica's grant, batch bounded by the grant size. Each traced
+// record streamed logs a repl.pull span covering the transfer.
 func (s *Server) handleRepPull(v *volume, req *request) {
 	rs := s.primaryRepl(v)
 	if rs == nil {
@@ -595,33 +628,39 @@ func (s *Server) handleRepPull(v *volume, req *request) {
 		for i := range recs {
 			n += encodeRepRecord(buf[n:], &recs[i])
 		}
+		t0 := time.Now()
 		if err := s.proc.MoveTo(req.src, 0, buf); err != nil {
 			s.replyStatus(req.src, StatusBadRequest, 0)
 			return
 		}
+		s.traceRecords(recs, "repl.pull", time.Since(t0))
 	}
 	m := buildReply(StatusOK, 0)
 	stampRepPull(&m, uint32(total), uint32(len(recs)), cur)
 	_ = s.proc.Reply(&m, req.src)
 }
 
-// handleRepFiles serves OpRepFiles, the snapshot enumeration: staged
-// writes are flushed first so the store holds every acked byte, the
-// snapshot sequence is read before the walk so any racing write is
-// replayed on top of the snapshot, and the (file, size) entries are
-// streamed into the replica's grant.
+// handleRepFiles serves OpRepFiles, the snapshot enumeration: the
+// snapshot sequence is read first and the staged writes are flushed
+// after it, so the store holds every byte of every record up to that
+// sequence (a write is staged before it is logged) and anything newer
+// is replayed on top of the snapshot; then the (file, size) entries are
+// streamed into the replica's grant. Each traced record the snapshot
+// carries (the log's, up to the snapshot sequence) logs a repl.resync
+// span covering the enumeration.
 func (s *Server) handleRepFiles(v *volume, req *request) {
 	rs := s.primaryRepl(v)
 	if rs == nil {
 		s.replyStatus(req.src, StatusNoVolume, 0)
 		return
 	}
+	t0 := time.Now()
 	_, _, _, grant := parseRequest(&req.msg)
+	snapSeq := rs.current()
 	if err := v.cache.flushAll(); err != nil {
 		s.replyStatus(req.src, StatusIOError, 0)
 		return
 	}
-	snapSeq := rs.current()
 	ids, err := v.store.Files()
 	if err != nil {
 		s.replyStatus(req.src, StatusIOError, 0)
@@ -654,6 +693,7 @@ func (s *Server) handleRepFiles(v *volume, req *request) {
 			return
 		}
 	}
+	s.traceRecords(rs.tracedUpTo(snapSeq), "repl.resync", time.Since(t0))
 	m := buildReply(StatusOK, 0)
 	stampRepFiles(&m, uint32(n/repFileEntry), snapSeq)
 	_ = s.proc.Reply(&m, req.src)

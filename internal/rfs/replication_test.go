@@ -41,6 +41,23 @@ func waitUntil(t testing.TB, timeout time.Duration, msg string, cond func() bool
 	}
 }
 
+// waitInSync waits until every replica of vol counts itself in-sync, so
+// the next writes reach them by push.
+func waitInSync(t *testing.T, c *Cluster, vol uint32) {
+	t.Helper()
+	waitUntil(t, 5*time.Second, "replicas to enroll in-sync", func() bool {
+		for _, cs := range c.Servers {
+			if cs.Srv == nil {
+				continue
+			}
+			if rv := cs.Srv.volumes[vol].rv; rv != nil && !rv.eligible.Load() {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // shardWithRole finds the live shard holding vol in the given role.
 func shardWithRole(c *Cluster, vol uint32, role VolumeRole) *ClusterServer {
 	for _, cs := range c.Servers {
@@ -285,6 +302,13 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	r := newRouter(t, node)
 	w := NewVolumeClient(attach(t, node, "writer"), r, 1)
 
+	// Both replicas enroll before the first write, so the log reaches
+	// back to sequence 1 and the restarted replica (which comes back
+	// with nothing applied) catches up by pull. A replica that enrolled
+	// after the first write would make the rejoin a snapshot resync,
+	// which applies no records and never starts the pull waited for
+	// below.
+	waitInSync(t, c, 1)
 	if err := w.WriteBlock(9, 0, versionedPage(0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -332,6 +356,63 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	}
 	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, backlog, versionedPage(backlog, 1))
 	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, 5, versionedPage(5, 2))
+}
+
+// TestSnapshotResyncCoversConcurrentWrites: a write logged while the
+// primary flushes for a snapshot must reach the resyncing replica. The
+// snapshot sequence is read before the flush; read after it, it would
+// cover a write whose file the flush left in the cache and the store
+// walk missed, and the replica would adopt that sequence without it.
+// The write then reaches the replica by push, which needs the log the
+// primary dropped when its last replica left to hold no stale records.
+func TestSnapshotResyncCoversConcurrentWrites(t *testing.T) {
+	cfg := replConfig(false)
+	// Every copy's store can hold file 20's and file 22's writes back;
+	// only the primary's gates stay shut.
+	cfg.NewStore = func(uint32) Store { return newFileGatedStore(newFileGatedStore(NewMemStore(), 22), 20) }
+	c := startCluster(t, cfg)
+	node := clientNode(t, c)
+	w := NewVolumeClient(attach(t, node, "writer"), newRouter(t, node), 1)
+	waitInSync(t, c, 1)
+	primary := shardWithRole(c, 1, RolePrimary)
+	replica := shardWithRole(c, 1, RoleReplica)
+	gate20 := primary.Srv.volumes[1].store.(*fileGatedStore)
+	gate22 := gate20.Store.(*fileGatedStore)
+	t.Cleanup(gate20.open)
+	t.Cleanup(gate22.open)
+	rgate20 := replica.Srv.volumes[1].store.(*fileGatedStore)
+	rgate20.open()
+	rgate20.Store.(*fileGatedStore).open()
+
+	c.Kill(replica.Index)
+	// The first write after the kill drops the dead replica. With no
+	// replica left the primary keeps no log, so the restarted replica
+	// (which has applied nothing) must resync from a snapshot.
+	if err := w.WriteBlock(21, 0, versionedPage(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// File 20's blocks stay staged: the snapshot's flush waits on them.
+	for blk := uint32(0); blk < 4; blk++ {
+		if err := w.WriteBlock(20, blk, versionedPage(blk, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Restart(replica.Index); err != nil {
+		t.Fatal(err)
+	}
+	cache := primary.Srv.volumes[1].cache
+	waitUntil(t, 5*time.Second, "the snapshot's flush to start waiting", func() bool {
+		cache.mu.Lock()
+		defer cache.mu.Unlock()
+		return cache.drainWaiters > 0
+	})
+	// File 22 exists only in the primary's cache until its gate opens.
+	want := versionedPage(0, 7)
+	if err := w.WriteBlock(22, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	gate20.open()
+	waitReplicaServing(t, node, replica.Srv.Pid(), 22, 0, want)
 }
 
 // TestReplicaPromotionUnderLoss: failover must complete through 40%

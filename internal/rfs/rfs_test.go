@@ -565,6 +565,56 @@ func TestReadAheadWarmsCache(t *testing.T) {
 	}
 }
 
+// TestColdReadsCountOneMissEach: a cold page read misses the fast path's
+// cache probe and then the worker's fill; it is one miss, not two.
+func TestColdReadsCountOneMissEach(t *testing.T) {
+	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	c := e.client(t, "app")
+	const blocks = 64
+	if err := e.store.WriteAt(4, pattern(4, blocks*512), 0); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 512)
+	for b := uint32(0); b < blocks; b++ {
+		if _, err := c.ReadBlock(4, b, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.srv.Stats(); st.CacheMisses != blocks || st.CacheHits != 0 {
+		t.Fatalf("%d cold reads: misses=%d hits=%d, want %d and 0", blocks, st.CacheMisses, st.CacheHits, blocks)
+	}
+}
+
+// TestFastPathReadsTimed: cache-hit page reads, answered in the receive
+// loop rather than by a worker, still land in rfs.op.read_block when
+// timing is on.
+func TestFastPathReadsTimed(t *testing.T) {
+	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	c := e.client(t, "app")
+	if err := e.store.WriteAt(4, pattern(4, 512), 0); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 512)
+	if _, err := c.ReadBlock(4, 0, page); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+	e.srv.Metrics().SetTiming(true)
+	hist := e.srv.Metrics().Histogram("rfs.op.read_block")
+	before, hits := hist.Stat().Count, e.srv.Stats().CacheHits
+	const reads = 32
+	for i := 0; i < reads; i++ {
+		if _, err := c.ReadBlock(4, 0, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.srv.Stats().CacheHits - hits; got != reads {
+		t.Fatalf("cache hits = %d, want %d: the reads did not take the fast path", got, reads)
+	}
+	if got := hist.Stat().Count - before; got != reads {
+		t.Fatalf("rfs.op.read_block samples = %d for %d cached reads", got, reads)
+	}
+}
+
 // TestConcurrentReadWriteSameFile overlaps readers and writers on one
 // file. Written under the race detector's eye: MemStore must lock its
 // copies, and the cache's generation stamps must keep a racing miss-fill

@@ -781,17 +781,25 @@ func (s *Server) serve(p *ipc.Proc) {
 // non-blocking: one cache mutex and the reply transmit. Anything
 // else — a miss that needs the store, an unknown volume, a malformed
 // count, or a ReadAhead config whose prefetch probes store sizes
-// synchronously — returns false and takes the worker path.
+// synchronously — returns false and takes the worker path, where the
+// miss is counted and timed. A hit is timed into rfs.op.read_block just
+// as handle times worker requests; with timing off and the request
+// untraced that costs one atomic load.
 func (s *Server) fastRead(msg *ipc.Message, src ipc.Pid) bool {
 	op, file, block, count := parseRequest(msg)
 	if op != OpReadBlock || count > uint32(s.cfg.BlockSize) || s.cfg.ReadAhead {
 		return false
 	}
+	trace := msg.Trace()
+	t0 := s.metrics.Start()
+	if t0.IsZero() && trace != 0 {
+		t0 = time.Now()
+	}
 	v := s.volumes[reqVolume(msg)]
 	if v == nil || !v.readable() {
 		return false
 	}
-	b, _, ok := v.cache.getEnd(blockID{file: file, block: block})
+	b, _, ok := v.cache.probe(blockID{file: file, block: block})
 	if !ok {
 		return false
 	}
@@ -805,8 +813,15 @@ func (s *Server) fastRead(msg *ipc.Message, src ipc.Pid) bool {
 		// The client's grant was missing or too small: answer without data.
 		s.replyStatus(src, StatusBadRequest, 0)
 	}
-	if trace := msg.Trace(); trace != 0 {
-		s.metrics.Trace().Record(trace, "rfs.fast_read", uint64(file)<<32|uint64(block), 0)
+	if t0.IsZero() {
+		return true
+	}
+	dur := time.Since(t0)
+	if s.metrics.TimingEnabled() {
+		s.opHists[OpReadBlock].Observe(int64(dur))
+	}
+	if trace != 0 {
+		s.metrics.Trace().Record(trace, "rfs.fast_read", uint64(file)<<32|uint64(block), dur)
 	}
 	return true
 }
