@@ -10,7 +10,7 @@ GO ?= go
 # stable local numbers.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race stress vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache bench-shard bench-transport bench-replica obs-smoke check
+.PHONY: all build test race stress vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache bench-shard bench-replica obs-smoke check
 
 all: build test
 
@@ -44,9 +44,9 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The batched transport's recvmmsg/sendmmsg path is Linux-only behind
-# build tags; cross-compiling for darwin proves the portable fallback
-# keeps every platform building.
+# The UDP transport's recvmmsg/sendmmsg path is Linux-only behind build
+# tags; cross-compiling for darwin proves the portable fallback keeps
+# every platform building.
 crosscheck:
 	GOOS=darwin $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
@@ -85,17 +85,6 @@ bench-ccache:
 SHARDTIME ?= 1500ms
 bench-shard:
 	$(GO) run ./cmd/vbench -shard -shard-duration $(SHARDTIME) -shard-out BENCH_shard.json
-
-# Batched vs. per-datagram UDP transport: page read/write and streamed
-# 64 KB reads at 1/4/16 clients, paired interleaved trials, median
-# batched/udp ratios and allocs/op land in BENCH_transport.json.
-# TRANSPORTTIME is the per-phase window and TRANSPORTTRIALS the paired
-# trial count (shrunk in CI smoke runs; defaults for committed numbers).
-TRANSPORTTIME ?= 1s
-TRANSPORTTRIALS ?= 5
-bench-transport:
-	$(GO) run ./cmd/vbench -transport -transport-duration $(TRANSPORTTIME) \
-		-transport-trials $(TRANSPORTTRIALS) -transport-out BENCH_transport.json
 
 # Replication: device-bound read throughput at 1/2/3 copies of one
 # volume (reads spread over the in-sync set) plus kill-the-primary

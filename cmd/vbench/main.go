@@ -28,10 +28,6 @@ func main() {
 	shardDur := flag.Duration("shard-duration", 1500*time.Millisecond, "per-phase window for -shard")
 	shardClients := flag.Int("shard-clients", 16, "concurrent clients for -shard")
 	shardDelay := flag.Duration("shard-delay", time.Millisecond, "per-op device service time for -shard")
-	transport := flag.Bool("transport", false, "run the wire-transport batching benchmark instead of the paper tables")
-	transportOut := flag.String("transport-out", "BENCH_transport.json", "artifact path for -transport (empty: stdout only)")
-	transportDur := flag.Duration("transport-duration", time.Second, "per-phase window for -transport")
-	transportTrials := flag.Int("transport-trials", 3, "trials per phase for -transport; the fastest is kept")
 	replica := flag.Bool("replica", false, "run the replication read-scaling and failover benchmark instead of the paper tables")
 	replicaOut := flag.String("replica-out", "BENCH_replica.json", "artifact path for -replica (empty: stdout only)")
 	replicaDur := flag.Duration("replica-duration", 1500*time.Millisecond, "per-point read window for -replica")
@@ -51,20 +47,6 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vbench: replica benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *transport {
-		err := runTransport(transportConfig{
-			clients:  []int{1, 4, 16},
-			duration: *transportDur,
-			trials:   *transportTrials,
-			out:      *transportOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vbench: transport benchmark failed: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -60,10 +60,6 @@ func main() {
 		host         = flag.Int("host", 1, "logical host id of this node")
 		listen       = flag.String("listen", "127.0.0.1:0", "UDP listen address")
 		peers        peerList
-		transport    = flag.String("transport", "udp", "wire transport: udp (per-datagram) or batched (recvmmsg/sendmmsg, reuseport shards, hot-peer sockets)")
-		rxshards     = flag.Int("rxshards", 0, "batched: SO_REUSEPORT rx shard sockets (0 = per-CPU default, capped at 4)")
-		udpqueue     = flag.Int("udpqueue", 0, "dispatch queue depth between socket reads and handler workers (0 = default 512)")
-		udpworkers   = flag.Int("udpworkers", 0, "packet-dispatch worker goroutines (0 = per-CPU default, capped at 16)")
 		adaptiveRTO  = flag.Bool("adaptiverto", false, "per-peer adaptive retransmission timing (smoothed RTT/RTTVAR) instead of the fixed timeout")
 		metricsAddr  = flag.String("metrics", "", "serve the node's metrics registry over HTTP at this address (expvar JSON at /debug/vars, pprof under /debug/pprof/); empty = off")
 		timing       = flag.Bool("timing", false, "enable latency timing (per-op histograms); off by default so the hot paths cost one atomic load")
@@ -101,32 +97,7 @@ func main() {
 		reg.SetTiming(true)
 	}
 
-	// Both wire transports register peers and expose their bound address
-	// the same way; everything past construction is Transport-agnostic.
-	type wireTransport interface {
-		ipc.Transport
-		Addr() *net.UDPAddr
-		AddPeer(ipc.LogicalHost, *net.UDPAddr)
-	}
-	var tr wireTransport
-	var err error
-	switch *transport {
-	case "udp":
-		tr, err = ipc.NewUDPTransportConfig(*listen, ipc.UDPConfig{
-			Metrics:    reg,
-			QueueDepth: *udpqueue,
-			Workers:    *udpworkers,
-		})
-	case "batched":
-		tr, err = ipc.NewBatchedUDPTransport(*listen, ipc.BatchConfig{
-			Metrics:    reg,
-			Shards:     *rxshards,
-			QueueDepth: *udpqueue,
-			Workers:    *udpworkers,
-		})
-	default:
-		err = fmt.Errorf("unknown -transport %q (want udp or batched)", *transport)
-	}
+	tr, err := ipc.NewUDPTransportConfig(*listen, ipc.UDPConfig{Metrics: reg})
 	fatalIf(err)
 	if *metricsAddr != "" {
 		serveMetrics(*metricsAddr, reg)
@@ -144,7 +115,7 @@ func main() {
 	}
 	node := ipc.NewNode(ipc.LogicalHost(*host), tr, ipc.NodeConfig{AdaptiveRTO: *adaptiveRTO, Metrics: reg})
 	defer node.Close()
-	fmt.Printf("vnode: host %d listening on %v (%s transport)\n", *host, tr.Addr(), *transport)
+	fmt.Printf("vnode: host %d listening on %v\n", *host, tr.Addr())
 
 	if *serve {
 		runServer(node, *volumes, *storeDir, *nreplicas, *rejoin, rfs.Config{

@@ -43,6 +43,9 @@ func smokeCluster(udp bool) error {
 		return err
 	}
 	defer cl.Close()
+	if err := awaitInSync(cl, 1); err != nil {
+		return err
+	}
 	node, err := cl.ClientNode()
 	if err != nil {
 		return err
@@ -126,6 +129,40 @@ func smokeCluster(udp bool) error {
 		return fmt.Errorf("second scrape: %w", err)
 	}
 	return checkMonotonic(first, second)
+}
+
+// awaitInSync waits until every primary counts its replicas in-sync
+// (the rfs.vol<id>.repl_insync gauge), so the traced writes reach the
+// replicas by push and leave their applies on the span timeline.
+func awaitInSync(cl *rfs.Cluster, replicas int64) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		lagging := 0
+		for _, cs := range cl.Servers {
+			for _, spec := range cs.Specs {
+				if spec.Role != rfs.RolePrimary {
+					continue
+				}
+				name := fmt.Sprintf("rfs.vol%d.repl_insync", spec.ID)
+				var insync int64
+				cs.Srv.Metrics().Do(nil, func(n string, v int64) {
+					if n == name {
+						insync = v
+					}
+				}, nil)
+				if insync < replicas {
+					lagging++
+				}
+			}
+		}
+		if lagging == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%d volumes' replicas not in-sync after 10s", lagging)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // checkPresent asserts the metric families every layer should have

@@ -1,6 +1,6 @@
 //go:build linux && (amd64 || 386 || arm || arm64 || riscv64 || loong64)
 
-// Linux fast path for BatchedUDPTransport: recvmmsg/sendmmsg vectors
+// Linux fast path for UDPTransport: recvmmsg/sendmmsg vectors
 // over SO_REUSEPORT-sharded sockets, raw syscalls driven through the
 // runtime netpoller via syscall.RawConn so blocking still parks the
 // goroutine instead of a thread. Stdlib only — SO_REUSEPORT and the
@@ -9,7 +9,7 @@
 //
 // The vectors and syscall callbacks are built once per socket and
 // reused: a batch of one (the sparse-traffic common case) must not cost
-// more than the plain transport's per-datagram path, so the steady
+// more than a per-datagram recvfrom/sendto, so the steady
 // state re-initializes only the header slots the previous call
 // consumed and allocates nothing.
 
@@ -88,7 +88,7 @@ type mmsghdr struct {
 // mmsgState holds one socket's reusable syscall vectors and callbacks,
 // sized and wired once so the steady state allocates nothing. Only the
 // rx loop touches the r* state and only the egress flusher (serialized
-// by batchSock.flushing) touches the w* state. On a connected socket
+// by udpSock.flushing) touches the w* state. On a connected socket
 // the kernel already knows both endpoints, so no sockaddr slots are
 // exchanged at all (connected == true).
 type mmsgState struct {
@@ -115,16 +115,16 @@ type mmsgState struct {
 	writeCB func(fd uintptr) bool
 }
 
-func (st *mmsgState) init(conn *net.UDPConn, batch int, connected bool) {
+func (st *mmsgState) init(conn *net.UDPConn, connected bool) {
 	st.raw, _ = conn.SyscallConn()
 	st.connected = connected
-	st.riovs = make([]syscall.Iovec, batch)
-	st.rhdrs = make([]mmsghdr, batch)
-	st.rnames = make([]syscall.RawSockaddrInet6, batch)
-	st.wiovs = make([]syscall.Iovec, batch)
-	st.whdrs = make([]mmsghdr, batch)
-	st.wnames = make([]syscall.RawSockaddrInet6, batch)
-	for i := 0; i < batch; i++ {
+	st.riovs = make([]syscall.Iovec, udpBatch)
+	st.rhdrs = make([]mmsghdr, udpBatch)
+	st.rnames = make([]syscall.RawSockaddrInet6, udpBatch)
+	st.wiovs = make([]syscall.Iovec, udpBatch)
+	st.whdrs = make([]mmsghdr, udpBatch)
+	st.wnames = make([]syscall.RawSockaddrInet6, udpBatch)
+	for i := 0; i < udpBatch; i++ {
 		st.rhdrs[i].hdr = syscall.Msghdr{Iov: &st.riovs[i], Iovlen: 1}
 		st.whdrs[i].hdr = syscall.Msghdr{Iov: &st.wiovs[i], Iovlen: 1}
 		if !connected {
@@ -133,7 +133,7 @@ func (st *mmsgState) init(conn *net.UDPConn, batch int, connected bool) {
 			st.whdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&st.wnames[i]))
 		}
 	}
-	st.rDirty = batch
+	st.rDirty = udpBatch
 	// The callbacks close over st alone and are reused for every kernel
 	// crossing; per-call inputs and results travel through st fields.
 	st.readCB = func(fd uintptr) bool {
@@ -169,7 +169,7 @@ func (st *mmsgState) init(conn *net.UDPConn, batch int, connected bool) {
 // lens and learning senders. Slots beyond the returned count are
 // untouched, and their header slots are still armed from the previous
 // call.
-func (s *batchSock) readBatch(scratch [][]byte, lens []int, peers *peerTable) (int, error) {
+func (s *udpSock) readBatch(scratch [][]byte, lens []int, peers *peerTable) (int, error) {
 	st := &s.mm
 	if st.raw == nil {
 		return s.readOne(scratch, lens, peers)
@@ -183,9 +183,18 @@ func (s *batchSock) readBatch(scratch [][]byte, lens []int, peers *peerTable) (i
 		}
 	}
 	st.rN = len(scratch)
-	st.rErrno = 0
-	if err := st.raw.Read(st.readCB); err != nil {
-		return 0, err // socket closed
+	for {
+		st.rErrno = 0
+		if err := st.raw.Read(st.readCB); err != nil {
+			return 0, err // socket closed
+		}
+		// A connected hot socket reports the ICMP refusal of an earlier
+		// send here (its peer was down). The socket still owns the
+		// peer's flow, so read on: a peer restarted on the same address
+		// is heard only if the rx loop keeps reading.
+		if st.rErrno != syscall.ECONNREFUSED {
+			break
+		}
 	}
 	if st.rErrno != 0 {
 		return 0, st.rErrno
@@ -214,7 +223,7 @@ func (s *batchSock) readBatch(scratch [][]byte, lens []int, peers *peerTable) (i
 // is skipped so it cannot wedge the rest of the batch, and a closed
 // socket abandons the remainder — the protocol's retransmission
 // machinery recovers either way.
-func (s *batchSock) writeBatch(msgs []txMsg) {
+func (s *udpSock) writeBatch(msgs []txMsg) {
 	st := &s.mm
 	if st.raw == nil {
 		for _, m := range msgs {

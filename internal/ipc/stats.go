@@ -23,10 +23,9 @@ type nodeCounters struct {
 }
 
 // newNodeCounters registers the node counters under their wire-visible
-// names. Every name the batched transport also touches (retransmits,
-// nacks, sheds are node-layer; batching is transport-layer `net.*`)
-// lives here exactly once, so NodeStats and scrapes can never disagree
-// about what a counter means.
+// names. Every protocol counter (retransmits, nacks, sheds) lives here
+// exactly once, apart from the transport's own `net.*` counters, so
+// NodeStats and scrapes can never disagree about what a counter means.
 func newNodeCounters(r *obs.Registry) nodeCounters {
 	return nodeCounters{
 		remoteSends:       r.Counter("ipc.remote_sends"),

@@ -2,105 +2,89 @@ package ipc
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"vkernel/internal/bufpool"
+	"vkernel/internal/obs"
 	"vkernel/internal/vproto"
 )
 
-// batchedPair builds two nodes talking over batched loopback UDP
-// transports, with small knobs so the tests also exercise hot-peer
-// promotion.
-func batchedPair(t *testing.T, cfg BatchConfig) (*Node, *Node, *BatchedUDPTransport, *BatchedUDPTransport) {
+// netCount reads one of the transport's net.* counters by name, as a
+// stats scrape does.
+func netCount(reg *obs.Registry, name string) int64 { return reg.Counter(name).Load() }
+
+// testWire encodes a small data packet from host src to host dst.
+func testWire(t *testing.T, src, dst LogicalHost, size int) []byte {
 	t.Helper()
-	ta, err := NewBatchedUDPTransport("127.0.0.1:0", cfg)
+	pkt := &vproto.Packet{Kind: vproto.KindMoveToData, Seq: 1, Dst: vproto.MakePid(dst, 1),
+		Src: vproto.MakePid(src, 1), Count: uint32(size), Data: make([]byte, size)}
+	wire, err := pkt.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := NewBatchedUDPTransport("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ta.AddPeer(2, tb.Addr())
-	tb.AddPeer(1, ta.Addr())
-	na := NewNode(1, ta, NodeConfig{RetransmitTimeout: 20 * time.Millisecond, Retries: 20})
-	nb := NewNode(2, tb, NodeConfig{RetransmitTimeout: 20 * time.Millisecond, Retries: 20})
-	t.Cleanup(func() {
-		_ = na.Close()
-		_ = nb.Close()
-	})
-	return na, nb, ta, tb
+	return wire
 }
 
+// hotPair opens two loopback transports that promote a peer to a
+// connected socket on its first send, so the traffic of the Batched*
+// checks below rides the hot-peer path (Linux) rather than socks[0].
+func hotPair(t *testing.T) (*UDPTransport, *UDPTransport, *obs.Registry, *obs.Registry) {
+	t.Helper()
+	ta, regA := loopbackUDP(t)
+	tb, regB := loopbackUDP(t)
+	ta.hotThreshold, tb.hotThreshold = 1, 1
+	return ta, tb, regA, regB
+}
+
+// requireHot fails the test if the transport behind reg made no
+// hot-peer promotion where the fast path exists.
+func requireHot(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	if batchingAvailable && netCount(reg, "net.hot_promotions") == 0 {
+		t.Fatal("expected a hot-peer promotion at threshold 1")
+	}
+}
+
+// TestBatchedExchange is TestUDPExchange over hot connected sockets.
 func TestBatchedExchange(t *testing.T) {
-	na, nb, _, _ := batchedPair(t, BatchConfig{})
-	server := echoOn(nb, 5)
-	client := mustAttach(na, "client")
-	defer na.Detach(client)
-	for i := uint32(1); i <= 5; i++ {
-		var m Message
-		m.SetWord(1, i)
-		if err := client.Send(&m, server, nil); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-		if m.Word(1) != i*2 {
-			t.Fatalf("reply %d = %d", i, m.Word(1))
-		}
-	}
+	ta, tb, regA, _ := hotPair(t)
+	na, nb := nodePair(t, ta, tb)
+	checkExchange(t, na, nb)
+	requireHot(t, regA)
 }
 
+// TestBatchedPageReadAndWrite is TestUDPPageReadAndWrite over hot
+// connected sockets: segment data and replies both cross them.
 func TestBatchedPageReadAndWrite(t *testing.T) {
-	na, nb, _, _ := batchedPair(t, BatchConfig{})
-	store := make([]byte, 512)
-	fs := mustSpawn(nb, "fs", func(p *Proc) {
-		buf := make([]byte, 1024)
-		for {
-			msg, src, n, err := p.ReceiveWithSegment(buf)
-			if err != nil {
-				return
-			}
-			var reply Message
-			if msg.Word(1) == 1 {
-				_ = p.ReplyWithSegment(&reply, src, 0, store)
-			} else {
-				copy(store, buf[:n])
-				_ = p.Reply(&reply, src)
-			}
-		}
-	})
-	client := mustAttach(na, "client")
-	defer na.Detach(client)
+	ta, tb, regA, regB := hotPair(t)
+	na, nb := nodePair(t, ta, tb)
+	checkPageReadAndWrite(t, na, nb)
+	requireHot(t, regA)
+	requireHot(t, regB)
+}
 
-	page := make([]byte, 512)
-	for i := range page {
-		page[i] = byte(i ^ 0xA5)
-	}
-	var wm Message
-	wm.SetWord(1, 2)
-	if err := client.Send(&wm, fs.Pid(), &Segment{Data: page, Access: SegRead}); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 512)
-	var rm Message
-	rm.SetWord(1, 1)
-	if err := client.Send(&rm, fs.Pid(), &Segment{Data: got, Access: SegWrite}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, page) {
-		t.Fatal("page did not survive the batched round trip")
-	}
+// TestBatchedDispatchBufferLifetime is TestUDPDispatchBufferLifetime
+// with the sender on a hot connected socket.
+func TestBatchedDispatchBufferLifetime(t *testing.T) {
+	ta, tb, regA, _ := hotPair(t)
+	checkDispatchBufferLifetime(t, ta, tb)
+	requireHot(t, regA)
 }
 
 // TestBatchedLargeMoveTo pushes a 256 KB MoveTo chunk train — the
 // workload the egress coalescer exists for — and checks both integrity
 // and that the transport actually batched some of the train (Linux).
 func TestBatchedLargeMoveTo(t *testing.T) {
+	ta, _ := loopbackUDP(t)
+	tb, regB := loopbackUDP(t)
 	// A low hot threshold also drives the sender onto a connected
 	// socket partway through the train.
-	na, nb, _, tb := batchedPair(t, BatchConfig{HotThreshold: 8})
+	ta.hotThreshold, tb.hotThreshold = 8, 8
+	na, nb := nodePair(t, ta, tb)
 	const size = 256 * 1024
 	img := make([]byte, size)
 	for i := range img {
@@ -128,45 +112,34 @@ func TestBatchedLargeMoveTo(t *testing.T) {
 		t.Fatal("256 KB image corrupted over batched UDP")
 	}
 	if batchingAvailable {
-		st := tb.Stats()
-		if st.RecvBatches == 0 || st.Recvs < st.RecvBatches {
-			t.Fatalf("no batched receives recorded: %+v", st)
+		recvs, batches := netCount(regB, "net.recvs"), netCount(regB, "net.recv_batches")
+		if batches == 0 || recvs < batches {
+			t.Fatalf("no batched receives recorded: %d datagrams in %d batches", recvs, batches)
 		}
-		if st.HotPromotion == 0 {
-			t.Fatalf("expected a hot-peer promotion at threshold 8: %+v", st)
+		if netCount(regB, "net.hot_promotions") == 0 {
+			t.Fatal("expected a hot-peer promotion at threshold 8")
 		}
 	}
 }
 
 // TestBatchedCoalesce pins the egress coalescer's contract: sends that
 // arrive while a flusher holds the socket are queued, and the flusher
-// then moves the whole backlog in Batch-sized sendmmsg vectors — far
+// then moves the whole backlog in udpBatch-sized sendmmsg vectors — far
 // fewer kernel crossings than datagrams. Timing-based concurrency can't
 // force that overlap deterministically (on one CPU a solo send always
 // completes first, which is exactly the no-added-latency guarantee), so
 // the test holds the flushing flag itself, queues a burst, and drains.
 func TestBatchedCoalesce(t *testing.T) {
-	ta, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{HotPeers: -1, Batch: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ta.Close() }()
-	tb, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ta, regA := loopbackUDP(t)
+	ta.hotThreshold = math.MaxInt // every send stays on socks[0]
+	tb, _ := loopbackUDP(t)
 	ta.AddPeer(2, tb.Addr())
 
 	var got atomic.Int32
 	tb.SetHandler(func(f *bufpool.Buf) { got.Add(1) })
 
 	const burst = 100
-	pkt := &vproto.Packet{Kind: vproto.KindMoveToData, Seq: 1, Dst: vproto.MakePid(2, 1),
-		Src: vproto.MakePid(1, 1), Count: 256, Data: make([]byte, 256)}
-	wire, err := pkt.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := testWire(t, 1, 2, 256)
 
 	// Pose as an in-flight flusher so every Send queues behind us.
 	s := ta.socks[0]
@@ -186,12 +159,11 @@ func TestBatchedCoalesce(t *testing.T) {
 	}
 	s.drain() // what the real flusher runs after its own write
 
-	st := ta.Stats()
-	if st.Sends != burst {
-		t.Fatalf("coalescer accounted %d sends, want %d", st.Sends, burst)
+	if n := netCount(regA, "net.sends"); n != burst {
+		t.Fatalf("coalescer accounted %d sends, want %d", n, burst)
 	}
-	if want := int64((burst + 31) / 32); st.SendBatches != want {
-		t.Fatalf("burst of %d took %d kernel crossings, want %d", burst, st.SendBatches, want)
+	if want, n := int64((burst+udpBatch-1)/udpBatch), netCount(regA, "net.send_batches"); n != want {
+		t.Fatalf("burst of %d took %d kernel crossings, want %d", burst, n, want)
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for got.Load() < burst/2 && time.Now().Before(deadline) {
@@ -200,34 +172,22 @@ func TestBatchedCoalesce(t *testing.T) {
 	if got.Load() < burst/2 {
 		t.Fatalf("receiver saw only %d/%d datagrams", got.Load(), burst)
 	}
-	_ = tb.Close()
 }
 
-// TestBatchedConcurrentSends hammers Send from many goroutines purely
-// for the race detector and for conservation: every datagram must be
-// accounted as coalesced or inline, whichever path it took.
+// TestBatchedConcurrentSends hammers Send from many goroutines for the
+// race detector and for conservation: every datagram must be accounted
+// as coalesced or inline, whichever path it took. The peer is promoted
+// to a hot socket while the senders run, and exactly once.
 func TestBatchedConcurrentSends(t *testing.T) {
-	ta, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{HotPeers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ta.Close() }()
-	tb, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tb.Close() }()
+	ta, regA := loopbackUDP(t)
+	ta.hotThreshold = 8
+	tb, _ := loopbackUDP(t)
 	ta.AddPeer(2, tb.Addr())
 	tb.SetHandler(func(f *bufpool.Buf) {})
 
 	const senders = 16
 	const perSender = 64
-	pkt := &vproto.Packet{Kind: vproto.KindMoveToData, Seq: 1, Dst: vproto.MakePid(2, 1),
-		Src: vproto.MakePid(1, 1), Count: 256, Data: make([]byte, 256)}
-	wire, err := pkt.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := testWire(t, 1, 2, 256)
 	var wg sync.WaitGroup
 	wg.Add(senders)
 	for s := 0; s < senders; s++ {
@@ -239,83 +199,117 @@ func TestBatchedConcurrentSends(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := ta.Stats()
-	if want := int64(senders * perSender); st.Sends+st.InlineSends != want {
-		t.Fatalf("sends accounted %d+%d, want %d", st.Sends, st.InlineSends, want)
+	sends, inline := netCount(regA, "net.sends"), netCount(regA, "net.inline_sends")
+	if want := int64(senders * perSender); sends+inline != want {
+		t.Fatalf("sends accounted %d+%d, want %d", sends, inline, want)
+	}
+	if batchingAvailable {
+		if n := netCount(regA, "net.hot_promotions"); n != 1 {
+			t.Fatalf("one peer promoted %d times", n)
+		}
 	}
 }
 
-// TestBatchedDispatchBufferLifetime is TestUDPDispatchBufferLifetime
-// for the mmsg rx path: frames handed to the dispatch queue from a
-// recvmmsg vector must not be recycled while a worker (or anyone it
-// lent the frame to) still reads them.
-func TestBatchedDispatchBufferLifetime(t *testing.T) {
-	ta, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
+// TestHotPromotionDialsOnce races senders at the promotion threshold:
+// while one sender dials the peer's connected socket, the others must
+// see the reserved slot and keep using the shard socket. A second dial
+// would overwrite the first socket without closing it, and its rx loop
+// would then hold Close forever.
+func TestHotPromotionDialsOnce(t *testing.T) {
+	if !batchingAvailable {
+		t.Skip("hot-peer sockets require the linux fast path")
 	}
-	defer func() { _ = ta.Close() }()
-	tb, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ta.AddPeer(2, tb.Addr())
-
-	const packets = 300
-	const payload = 512
-	var verified, corrupted atomic.Int32
-	var wg sync.WaitGroup
-	tb.SetHandler(func(f *bufpool.Buf) {
-		var pkt vproto.Packet
-		if err := vproto.DecodeInto(&pkt, f.Data); err != nil {
-			return
-		}
-		seq := pkt.Seq
-		data := pkt.Data // aliases the pooled frame
-		f.Retain()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer f.Release()
-			time.Sleep(2 * time.Millisecond)
-			for i, b := range data {
-				if b != byte(int(seq)*7+i) {
-					corrupted.Add(1)
-					return
-				}
-			}
-			verified.Add(1)
-		}()
-	})
-
-	for seq := uint32(1); seq <= packets; seq++ {
-		pkt := &vproto.Packet{Kind: vproto.KindMoveToData, Seq: seq, Dst: vproto.MakePid(2, 1),
-			Count: payload, Data: make([]byte, payload)}
-		for i := range pkt.Data {
-			pkt.Data[i] = byte(int(seq)*7 + i)
-		}
-		buf, err := pkt.Encode()
+	wire := testWire(t, 1, 2, 32)
+	for round := 0; round < 20; round++ {
+		reg := obs.New()
+		ta, err := NewUDPTransportConfig("127.0.0.1:0", UDPConfig{Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ta.Send(2, buf); err != nil {
-			t.Fatal(err)
+		ta.hotThreshold = 1
+		ta.SetHandler(func(f *bufpool.Buf) {})
+		sink, _ := loopbackUDP(t)
+		ta.AddPeer(2, sink.Addr())
+
+		const senders = 8
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(senders)
+		for i := 0; i < senders; i++ {
+			go func() {
+				defer wg.Done()
+				<-release
+				_ = ta.Send(2, wire)
+			}()
 		}
-		if seq%32 == 0 {
-			time.Sleep(time.Millisecond)
+		close(release)
+		wg.Wait()
+		promotions := netCount(reg, "net.hot_promotions")
+
+		closed := make(chan error, 1)
+		go func() { closed <- ta.Close() }()
+		select {
+		case <-closed:
+		case <-time.After(3 * time.Second):
+			t.Fatalf("round %d: Close hung after %d promotions for one peer", round, promotions)
+		}
+		if promotions != 1 {
+			t.Fatalf("round %d: one peer promoted %d times", round, promotions)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for verified.Load()+corrupted.Load() < packets && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+}
+
+// TestHotPeerRestartSameAddress kills a hot peer and restarts it on the
+// same address, as Cluster.Restart does. Sends to the dead peer make the
+// kernel report ECONNREFUSED on the connected socket's receive side; the
+// socket still owns the peer's flow, so its rx loop must read on past
+// the refusal or the restarted peer is never heard from again.
+func TestHotPeerRestartSameAddress(t *testing.T) {
+	if !batchingAvailable {
+		t.Skip("hot-peer sockets require the linux fast path")
 	}
-	_ = tb.Close()
-	wg.Wait()
-	if corrupted.Load() > 0 {
-		t.Fatalf("%d frames were recycled while still lent out", corrupted.Load())
+	ta, regA := loopbackUDP(t)
+	ta.hotThreshold = 4
+	var got atomic.Int32
+	ta.SetHandler(func(f *bufpool.Buf) { got.Add(1) })
+
+	sink1, err := NewUDPTransport("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if verified.Load() < packets/2 {
-		t.Fatalf("only %d/%d packets verified; transport lost too much", verified.Load(), packets)
+	sink1.SetHandler(func(f *bufpool.Buf) {})
+	addr := sink1.Addr()
+	ta.AddPeer(2, addr)
+	toPeer := testWire(t, 1, 2, 32)
+	for i := 0; i < 8; i++ {
+		_ = ta.Send(2, toPeer)
+	}
+	if netCount(regA, "net.hot_promotions") == 0 {
+		t.Fatal("peer was not promoted")
+	}
+
+	// The peer dies; each send to it draws an ICMP refusal, paced so the
+	// hot socket's rx loop is the one that reads it.
+	_ = sink1.Close()
+	for i := 0; i < 5; i++ {
+		_ = ta.Send(2, toPeer)
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	sink2, err := NewUDPTransport(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sink2.Close() }()
+	sink2.AddPeer(1, ta.Addr())
+	fromPeer := testWire(t, 2, 1, 32)
+	deadline := time.Now().Add(3 * time.Second)
+	for got.Load() == 0 && time.Now().Before(deadline) {
+		_ = sink2.Send(1, fromPeer)
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got.Load() == 0 {
+		t.Fatal("the peer restarted on its old address was never heard from")
 	}
 }
 
@@ -327,11 +321,10 @@ func TestBatchedRxShards(t *testing.T) {
 	if !batchingAvailable {
 		t.Skip("reuseport sharding requires the linux fast path")
 	}
-	srv, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	srv, _ := loopbackUDP(t)
+	if len(srv.socks) < 2 {
+		t.Fatalf("transport opened %d rx shards, want at least 2", len(srv.socks))
 	}
-	defer func() { _ = srv.Close() }()
 	var got atomic.Int32
 	srv.SetHandler(func(f *bufpool.Buf) { got.Add(1) })
 
@@ -343,13 +336,7 @@ func TestBatchedRxShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		ct.AddPeer(9, srv.Addr())
-		pkt := &vproto.Packet{Kind: vproto.KindMoveToData, Seq: uint32(c + 1),
-			Dst: vproto.MakePid(9, 1), Src: vproto.MakePid(vproto.LogicalHost(c+10), 1),
-			Count: 64, Data: make([]byte, 64)}
-		wire, err := pkt.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		wire := testWire(t, LogicalHost(c+10), 9, 64)
 		for i := 0; i < perClient; i++ {
 			if err := ct.Send(9, wire); err != nil {
 				t.Fatal(err)
@@ -379,34 +366,15 @@ func TestBatchedRxShards(t *testing.T) {
 // TestBatchedBroadcast checks best-effort fan-out over the cached peer
 // snapshot, continuing past unreachable peers.
 func TestBatchedBroadcast(t *testing.T) {
-	ta, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ta.Close() }()
-	var sinks []*BatchedUDPTransport
+	ta, _ := loopbackUDP(t)
 	var counts [3]atomic.Int32
 	for i := 0; i < 3; i++ {
-		s, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sinks = append(sinks, s)
+		s, _ := loopbackUDP(t)
 		i := i
 		s.SetHandler(func(f *bufpool.Buf) { counts[i].Add(1) })
 		ta.AddPeer(LogicalHost(i+2), s.Addr())
 	}
-	defer func() {
-		for _, s := range sinks {
-			_ = s.Close()
-		}
-	}()
-	pkt := &vproto.Packet{Kind: vproto.KindMoveToData, Seq: 1, Dst: vproto.MakePid(0, 0),
-		Src: vproto.MakePid(1, 1), Count: 32, Data: make([]byte, 32)}
-	wire, err := pkt.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := testWire(t, 1, 0, 32)
 	for i := 0; i < 10; i++ {
 		if err := ta.Broadcast(wire); err != nil {
 			t.Fatal(err)
@@ -429,11 +397,8 @@ func TestBatchedHotPeerRebind(t *testing.T) {
 	if !batchingAvailable {
 		t.Skip("hot-peer sockets require the linux fast path")
 	}
-	ta, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{HotThreshold: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ta.Close() }()
+	ta, regA := loopbackUDP(t)
+	ta.hotThreshold = 4
 	ta.SetHandler(func(f *bufpool.Buf) {})
 
 	sink1, err := NewUDPTransport("127.0.0.1:0")
@@ -444,26 +409,17 @@ func TestBatchedHotPeerRebind(t *testing.T) {
 	sink1.SetHandler(func(f *bufpool.Buf) { got1.Add(1) })
 	ta.AddPeer(2, sink1.Addr())
 
-	pkt := &vproto.Packet{Kind: vproto.KindMoveToData, Seq: 1, Dst: vproto.MakePid(2, 1),
-		Src: vproto.MakePid(1, 1), Count: 32, Data: make([]byte, 32)}
-	wire, err := pkt.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := testWire(t, 1, 2, 32)
 	for i := 0; i < 16; i++ {
 		_ = ta.Send(2, wire)
 	}
-	if ta.Stats().HotPromotion == 0 {
+	if netCount(regA, "net.hot_promotions") == 0 {
 		t.Fatal("peer was not promoted")
 	}
 
 	// The "server" reboots on a fresh port.
 	_ = sink1.Close()
-	sink2, err := NewUDPTransport("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = sink2.Close() }()
+	sink2, _ := loopbackUDP(t)
 	var got2 atomic.Int32
 	sink2.SetHandler(func(f *bufpool.Buf) { got2.Add(1) })
 	ta.AddPeer(2, sink2.Addr())

@@ -8,20 +8,36 @@ import (
 	"time"
 
 	"vkernel/internal/bufpool"
+	"vkernel/internal/obs"
 	"vkernel/internal/vproto"
 )
 
 // udpPair builds two nodes talking over real loopback UDP sockets.
 func udpPair(t *testing.T) (*Node, *Node) {
 	t.Helper()
-	ta, err := NewUDPTransport("127.0.0.1:0")
+	ta, _ := loopbackUDP(t)
+	tb, _ := loopbackUDP(t)
+	return nodePair(t, ta, tb)
+}
+
+// loopbackUDP opens a transport on an ephemeral loopback port whose
+// net.* counters land in the returned registry, closed at cleanup.
+func loopbackUDP(t *testing.T) (*UDPTransport, *obs.Registry) {
+	t.Helper()
+	reg := obs.New()
+	tr, err := NewUDPTransportConfig("127.0.0.1:0", UDPConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := NewUDPTransport("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { _ = tr.Close() })
+	return tr, reg
+}
+
+// nodePair runs hosts 1 and 2 on ta and tb, each knowing the other's
+// address. Transport fields a test tunes must be set before this call,
+// which starts the rx loops.
+func nodePair(t *testing.T, ta, tb *UDPTransport) (*Node, *Node) {
+	t.Helper()
 	ta.AddPeer(2, tb.Addr())
 	tb.AddPeer(1, ta.Addr())
 	na := NewNode(1, ta, NodeConfig{RetransmitTimeout: 20 * time.Millisecond, Retries: 20})
@@ -35,6 +51,12 @@ func udpPair(t *testing.T) (*Node, *Node) {
 
 func TestUDPExchange(t *testing.T) {
 	na, nb := udpPair(t)
+	checkExchange(t, na, nb)
+}
+
+// checkExchange runs five echo round trips from host 1 to host 2.
+func checkExchange(t *testing.T, na, nb *Node) {
+	t.Helper()
 	server := echoOn(nb, 5)
 	client := mustAttach(na, "client")
 	defer na.Detach(client)
@@ -52,6 +74,14 @@ func TestUDPExchange(t *testing.T) {
 
 func TestUDPPageReadAndWrite(t *testing.T) {
 	na, nb := udpPair(t)
+	checkPageReadAndWrite(t, na, nb)
+}
+
+// checkPageReadAndWrite writes a 512-byte page to a server on host 2
+// with a read-access segment, reads it back with a write-access one and
+// compares.
+func checkPageReadAndWrite(t *testing.T, na, nb *Node) {
+	t.Helper()
 	store := make([]byte, 512)
 	fs := mustSpawn(nb, "fs", func(p *Proc) {
 		buf := make([]byte, 1024)
@@ -123,22 +153,23 @@ func TestUDPProgramLoadSizedMoveTo(t *testing.T) {
 }
 
 // TestUDPDispatchBufferLifetime guards the pooled receive path's
-// ownership rule: a dispatched frame must not be recycled while a worker
-// — or anyone the worker lent it to — still reads it. The handler holds
-// each frame past its return (Retain) and verifies the payload from a
-// separate goroutine after a delay; if the read loop reused frames it had
-// already handed off, the delayed readers would observe bytes of newer
-// datagrams (corruption below) or race the socket read (caught by -race).
+// ownership rule: a frame handed to the dispatch queue from a recvmmsg
+// vector must not be recycled while a worker — or anyone the worker lent
+// it to — still reads it. The handler holds each frame past its return
+// (Retain) and verifies the payload from a separate goroutine after a
+// delay; if the rx loop reused frames it had already handed off, the
+// delayed readers would observe bytes of newer datagrams (corruption
+// below) or race the socket read (caught by -race).
 func TestUDPDispatchBufferLifetime(t *testing.T) {
-	ta, err := NewUDPTransport("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ta.Close() }()
-	tb, err := NewUDPTransport("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ta, _ := loopbackUDP(t)
+	tb, _ := loopbackUDP(t)
+	checkDispatchBufferLifetime(t, ta, tb)
+}
+
+// checkDispatchBufferLifetime sends 300 patterned packets from ta to tb,
+// whose handler verifies each one after its return.
+func checkDispatchBufferLifetime(t *testing.T, ta, tb *UDPTransport) {
+	t.Helper()
 	ta.AddPeer(2, tb.Addr())
 
 	const packets = 300

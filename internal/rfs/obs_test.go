@@ -142,6 +142,17 @@ func TestScrapeDuringFailover(t *testing.T) {
 	c := startCluster(t, cfg)
 	node := clientNode(t, c)
 
+	// Resolve the volume's route with a first acked write before the
+	// scrapers start: at GOMAXPROCS 1 their spinning can starve the
+	// router's first name lookup past its timeout.
+	writer := attach(t, node, "failover-writer")
+	router := newRouter(t, node)
+	cl := NewVolumeClient(writer, router, 1)
+	page := make([]byte, 512)
+	if err := cl.WriteBlock(3, 0, page); err != nil {
+		t.Fatalf("pre-kill write 0: %v", err)
+	}
+
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var stopOnce sync.Once
@@ -223,11 +234,7 @@ func TestScrapeDuringFailover(t *testing.T) {
 	// replica is promotion-eligible, keep writing through the promotion,
 	// then read everything back. Writes during the gap fail and retry —
 	// the loop counts post-kill acks like the burst failover test does.
-	p := attach(t, node, "failover-writer")
-	router := newRouter(t, node)
-	cl := NewVolumeClient(p, router, 1)
-	page := make([]byte, 512)
-	for blk := uint32(0); blk < 8; blk++ {
+	for blk := uint32(1); blk < 8; blk++ {
 		page[0] = byte(blk)
 		if err := cl.WriteBlock(3, blk, page); err != nil {
 			t.Fatalf("pre-kill write %d: %v", blk, err)
