@@ -10,7 +10,7 @@ GO ?= go
 # stable local numbers.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race stress vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache bench-shard bench-replica obs-smoke check
+.PHONY: all build test race stress vet lint perfbench-vet fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache bench-shard bench-replica obs-smoke check
 
 all: build test
 
@@ -39,6 +39,12 @@ vet:
 # analysis"). vlint exits nonzero on any finding.
 lint: vet
 	$(GO) run ./cmd/vlint ./...
+
+# perfbench/ is its own Go module, so `go build ./...` here never
+# compiles it: vet it on its own so a change to a public API the
+# benchmark uses fails CI instead of the benchmark run.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -106,4 +112,4 @@ bench-replica:
 obs-smoke:
 	$(GO) run ./cmd/vstat -smoke
 
-check: build lint fmt-check test race obs-smoke
+check: build lint perfbench-vet fmt-check test race obs-smoke

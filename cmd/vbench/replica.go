@@ -169,7 +169,10 @@ func awaitReplication(cluster *rfs.Cluster, client *rfs.Client, replicas int) er
 			if cs.Srv == nil {
 				continue
 			}
-			if st := cs.Srv.Stats(); st.ReplicaRecords > 0 || st.ReplicaResyncs > 0 {
+			reg := cs.Srv.Metrics()
+			applied, _ := reg.Value("rfs.repl_applied")
+			resyncs, _ := reg.Value("rfs.repl_resyncs")
+			if applied > 0 || resyncs > 0 {
 				caughtUp++
 			}
 		}

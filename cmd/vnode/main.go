@@ -256,7 +256,8 @@ func runServer(node *ipc.Node, volumeSpec, storeDir string, nreplicas int, rejoi
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	fmt.Printf("vnode: shutting down; stats: %+v\n", srv.Stats())
+	fmt.Println("vnode: shutting down; metrics:")
+	dumpMetrics(srv.Metrics())
 }
 
 func runClient(node *ipc.Node, file uint32, reads, writes, large int, clientCache bool, ccBlocks, volumeID int, spreadReads bool) {
@@ -354,7 +355,16 @@ func runClient(node *ipc.Node, file uint32, reads, writes, large int, clientCach
 	if cc != nil {
 		fmt.Printf("vnode: client cache stats: %+v\n", cc.Stats())
 	}
-	fmt.Printf("vnode: node stats: %+v\n", node.Stats())
+	fmt.Println("vnode: node metrics:")
+	dumpMetrics(node.Metrics())
+}
+
+// dumpMetrics prints every counter and gauge in the registry, one
+// "name value" line each, sorted by name — the names vstat and
+// OpQueryStats scrapes use.
+func dumpMetrics(reg *obs.Registry) {
+	line := func(name string, v int64) { fmt.Printf("  %s %d\n", name, v) }
+	reg.Do(line, line, nil)
 }
 
 func fatalIf(err error) {

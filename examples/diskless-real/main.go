@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"vkernel/internal/ipc"
+	"vkernel/internal/obs"
 	"vkernel/internal/rfs"
 )
 
@@ -159,8 +160,24 @@ func main() {
 	}
 	per := time.Since(start) / time.Duration(pages)
 	fmt.Printf("%d demand page-ins across %d workstations, %v/page\n", pages, numClients, per)
-	fmt.Printf("root server stats: %+v\n", rootSrv.Stats())
-	fmt.Printf("scratch server stats: %+v\n", scratchSrv.Stats())
+	root := fmt.Sprintf("rfs.vol%d.", rootVolume)
+	printMetrics("root server", rootSrv.Metrics(), "rfs.large_reads", "rfs.page_reads",
+		root+"cache_hits", root+"cache_misses", "rfs.prefetches", root+"flushed_blocks")
+	printMetrics("scratch server", scratchSrv.Metrics(), "rfs.large_writes", "rfs.bytes_written", "rfs.requests")
+}
+
+// printMetrics prints named counters and gauges of a registry on one
+// line.
+func printMetrics(label string, reg *obs.Registry, names ...string) {
+	fmt.Printf("%s:", label)
+	for _, name := range names {
+		v, ok := reg.Value(name)
+		if !ok {
+			panic("no metric " + name)
+		}
+		fmt.Printf(" %s=%d", name, v)
+	}
+	fmt.Println()
 }
 
 func must(err error) {

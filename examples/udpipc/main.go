@@ -118,7 +118,9 @@ func main() {
 	}
 	per := time.Since(start) / n
 	fmt.Printf("%d page reads over loopback UDP: %v/page\n", n, per)
-	fmt.Printf("node A stats: %+v\n", nodeA.Stats())
+	fmt.Println("node A metrics:")
+	line := func(name string, v int64) { fmt.Printf("  %s %d\n", name, v) }
+	nodeA.Metrics().Do(line, line, nil)
 }
 
 func must(err error) {

@@ -89,8 +89,8 @@ func TestRemoteExchange(t *testing.T) {
 	if m.Word(1) != 14 {
 		t.Fatalf("reply word = %d", m.Word(1))
 	}
-	if na.Stats().RemoteSends != 1 {
-		t.Fatalf("stats: %+v", na.Stats())
+	if n := metric(t, na.Metrics(), "ipc.remote_sends"); n != 1 {
+		t.Fatalf("ipc.remote_sends = %d, want 1", n)
 	}
 }
 

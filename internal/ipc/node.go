@@ -49,25 +49,6 @@ type Node struct {
 	exchangeNs *obs.Histogram
 }
 
-// NodeStats counts protocol activity (snapshot via Stats).
-type NodeStats struct {
-	RemoteSends       int
-	RemoteReplies     int
-	Retransmits       int
-	DupsFiltered      int
-	ReplyPendingsSent int
-	ReplyPendingsSeen int
-	NacksSent         int
-	// OverloadSheds counts inbound Sends refused by receive-queue
-	// backpressure (each remote shed also sends one overload Nack,
-	// counted in NacksSent; local sheds appear only here).
-	OverloadSheds int
-	BadPackets    int
-	MoveOps       int
-	MoveBytes     int64
-	RTTSamples    int
-}
-
 type nameEntry struct {
 	pid   Pid
 	scope Scope
@@ -192,9 +173,6 @@ func NewNode(host LogicalHost, tr Transport, cfg NodeConfig) *Node {
 
 // Host returns the node's logical host id.
 func (n *Node) Host() LogicalHost { return n.host }
-
-// Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() NodeStats { return n.stats.snapshot() }
 
 // Metrics returns the node's observability registry (the one from
 // NodeConfig.Metrics, or the private registry the node made for

@@ -6,7 +6,8 @@ import "vkernel/internal/obs"
 // the node's obs registry — independent atomics, so hot paths on
 // different subsystems never contend on a stats lock, and one uniform
 // namespace (`ipc.*`) that OpQueryStats/vstat scrape alongside every
-// other subsystem. NodeStats remains as a thin snapshot view.
+// other subsystem, and that tests and tools read by name through
+// Node.Metrics().Value.
 type nodeCounters struct {
 	remoteSends       *obs.Counter
 	remoteReplies     *obs.Counter
@@ -15,17 +16,20 @@ type nodeCounters struct {
 	replyPendingsSent *obs.Counter
 	replyPendingsSeen *obs.Counter
 	nacksSent         *obs.Counter
-	overloadSheds     *obs.Counter
-	badPackets        *obs.Counter
-	moveOps           *obs.Counter
-	moveBytes         *obs.Counter
-	rttSamples        *obs.Counter
+	// overloadSheds counts inbound Sends refused by receive-queue
+	// backpressure (each remote shed also sends one overload Nack,
+	// counted in nacksSent; local sheds appear only here).
+	overloadSheds *obs.Counter
+	badPackets    *obs.Counter
+	moveOps       *obs.Counter
+	moveBytes     *obs.Counter
+	rttSamples    *obs.Counter
 }
 
 // newNodeCounters registers the node counters under their wire-visible
 // names. Every protocol counter (retransmits, nacks, sheds) lives here
 // exactly once, apart from the transport's own `net.*` counters, so
-// NodeStats and scrapes can never disagree about what a counter means.
+// every reader sees the same number under the same name.
 func newNodeCounters(r *obs.Registry) nodeCounters {
 	return nodeCounters{
 		remoteSends:       r.Counter("ipc.remote_sends"),
@@ -40,23 +44,5 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		moveOps:           r.Counter("ipc.move_ops"),
 		moveBytes:         r.Counter("ipc.move_bytes"),
 		rttSamples:        r.Counter("ipc.rtt_samples"),
-	}
-}
-
-// snapshot materializes the exported NodeStats view.
-func (c *nodeCounters) snapshot() NodeStats {
-	return NodeStats{
-		RemoteSends:       int(c.remoteSends.Load()),
-		RemoteReplies:     int(c.remoteReplies.Load()),
-		Retransmits:       int(c.retransmits.Load()),
-		DupsFiltered:      int(c.dupsFiltered.Load()),
-		ReplyPendingsSent: int(c.replyPendingsSent.Load()),
-		ReplyPendingsSeen: int(c.replyPendingsSeen.Load()),
-		NacksSent:         int(c.nacksSent.Load()),
-		OverloadSheds:     int(c.overloadSheds.Load()),
-		BadPackets:        int(c.badPackets.Load()),
-		MoveOps:           int(c.moveOps.Load()),
-		MoveBytes:         c.moveBytes.Load(),
-		RTTSamples:        int(c.rttSamples.Load()),
 	}
 }

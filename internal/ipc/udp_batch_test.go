@@ -13,9 +13,16 @@ import (
 	"vkernel/internal/vproto"
 )
 
-// netCount reads one of the transport's net.* counters by name, as a
-// stats scrape does.
-func netCount(reg *obs.Registry, name string) int64 { return reg.Counter(name).Load() }
+// metric reads a registered counter or gauge by name, as a stats scrape
+// does; a name nobody registered fails the test instead of reading 0.
+func metric(t testing.TB, reg *obs.Registry, name string) int64 {
+	t.Helper()
+	v, ok := reg.Value(name)
+	if !ok {
+		t.Fatalf("metric %q is not registered", name)
+	}
+	return v
+}
 
 // testWire encodes a small data packet from host src to host dst.
 func testWire(t *testing.T, src, dst LogicalHost, size int) []byte {
@@ -44,7 +51,7 @@ func hotPair(t *testing.T) (*UDPTransport, *UDPTransport, *obs.Registry, *obs.Re
 // hot-peer promotion where the fast path exists.
 func requireHot(t *testing.T, reg *obs.Registry) {
 	t.Helper()
-	if batchingAvailable && netCount(reg, "net.hot_promotions") == 0 {
+	if batchingAvailable && metric(t, reg, "net.hot_promotions") == 0 {
 		t.Fatal("expected a hot-peer promotion at threshold 1")
 	}
 }
@@ -112,11 +119,11 @@ func TestBatchedLargeMoveTo(t *testing.T) {
 		t.Fatal("256 KB image corrupted over batched UDP")
 	}
 	if batchingAvailable {
-		recvs, batches := netCount(regB, "net.recvs"), netCount(regB, "net.recv_batches")
+		recvs, batches := metric(t, regB, "net.recvs"), metric(t, regB, "net.recv_batches")
 		if batches == 0 || recvs < batches {
 			t.Fatalf("no batched receives recorded: %d datagrams in %d batches", recvs, batches)
 		}
-		if netCount(regB, "net.hot_promotions") == 0 {
+		if metric(t, regB, "net.hot_promotions") == 0 {
 			t.Fatal("expected a hot-peer promotion at threshold 8")
 		}
 	}
@@ -159,10 +166,10 @@ func TestBatchedCoalesce(t *testing.T) {
 	}
 	s.drain() // what the real flusher runs after its own write
 
-	if n := netCount(regA, "net.sends"); n != burst {
+	if n := metric(t, regA, "net.sends"); n != burst {
 		t.Fatalf("coalescer accounted %d sends, want %d", n, burst)
 	}
-	if want, n := int64((burst+udpBatch-1)/udpBatch), netCount(regA, "net.send_batches"); n != want {
+	if want, n := int64((burst+udpBatch-1)/udpBatch), metric(t, regA, "net.send_batches"); n != want {
 		t.Fatalf("burst of %d took %d kernel crossings, want %d", burst, n, want)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -199,12 +206,12 @@ func TestBatchedConcurrentSends(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	sends, inline := netCount(regA, "net.sends"), netCount(regA, "net.inline_sends")
+	sends, inline := metric(t, regA, "net.sends"), metric(t, regA, "net.inline_sends")
 	if want := int64(senders * perSender); sends+inline != want {
 		t.Fatalf("sends accounted %d+%d, want %d", sends, inline, want)
 	}
 	if batchingAvailable {
-		if n := netCount(regA, "net.hot_promotions"); n != 1 {
+		if n := metric(t, regA, "net.hot_promotions"); n != 1 {
 			t.Fatalf("one peer promoted %d times", n)
 		}
 	}
@@ -244,7 +251,7 @@ func TestHotPromotionDialsOnce(t *testing.T) {
 		}
 		close(release)
 		wg.Wait()
-		promotions := netCount(reg, "net.hot_promotions")
+		promotions := metric(t, reg, "net.hot_promotions")
 
 		closed := make(chan error, 1)
 		go func() { closed <- ta.Close() }()
@@ -284,7 +291,7 @@ func TestHotPeerRestartSameAddress(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		_ = ta.Send(2, toPeer)
 	}
-	if netCount(regA, "net.hot_promotions") == 0 {
+	if metric(t, regA, "net.hot_promotions") == 0 {
 		t.Fatal("peer was not promoted")
 	}
 
@@ -413,7 +420,7 @@ func TestBatchedHotPeerRebind(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		_ = ta.Send(2, wire)
 	}
-	if netCount(regA, "net.hot_promotions") == 0 {
+	if metric(t, regA, "net.hot_promotions") == 0 {
 		t.Fatal("peer was not promoted")
 	}
 

@@ -122,36 +122,6 @@ func checkPageReadAndWrite(t *testing.T, na, nb *Node) {
 	}
 }
 
-func TestUDPProgramLoadSizedMoveTo(t *testing.T) {
-	na, nb := udpPair(t)
-	const size = 256 * 1024
-	img := make([]byte, size)
-	for i := range img {
-		img[i] = byte(i * 31)
-	}
-	loader := mustSpawn(nb, "loader", func(p *Proc) {
-		_, src, err := p.Receive()
-		if err != nil {
-			return
-		}
-		if err := p.MoveTo(src, 0, img); err != nil {
-			t.Errorf("MoveTo: %v", err)
-		}
-		var reply Message
-		_ = p.Reply(&reply, src)
-	})
-	client := mustAttach(na, "client")
-	defer na.Detach(client)
-	buf := make([]byte, size)
-	var m Message
-	if err := client.Send(&m, loader.Pid(), &Segment{Data: buf, Access: SegWrite}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, img) {
-		t.Fatal("256 KB image corrupted over UDP")
-	}
-}
-
 // TestUDPDispatchBufferLifetime guards the pooled receive path's
 // ownership rule: a frame handed to the dispatch queue from a recvmmsg
 // vector must not be recycled while a worker — or anyone the worker lent

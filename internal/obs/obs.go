@@ -187,6 +187,29 @@ func (r *Registry) Unregister(name string) {
 	r.mu.Unlock()
 }
 
+// Value reads one counter, gauge or pull-time gauge by exact name. It
+// registers nothing: an unknown name reports false instead of minting a
+// fresh zero counter, so a misspelled name fails its reader. A pull-time
+// gauge shadows an atomic gauge of the same name, as in Do.
+func (r *Registry) Value(name string) (int64, bool) {
+	if r == nil {
+		return 0, false
+	}
+	r.mu.Lock()
+	c, g, f := r.counters[name], r.gauges[name], r.gaugeFuncs[name]
+	r.mu.Unlock()
+	// Read outside the lock, as Do does: f may take its own leaf lock.
+	switch {
+	case c != nil:
+		return c.Load(), true
+	case f != nil:
+		return f(), true
+	case g != nil:
+		return g.Load(), true
+	}
+	return 0, false
+}
+
 // Histogram returns the named latency histogram, registering it on
 // first use.
 func (r *Registry) Histogram(name string) *Histogram {

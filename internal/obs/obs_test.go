@@ -41,6 +41,43 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+func TestValueReadsByNameWithoutRegistering(t *testing.T) {
+	r := New()
+	r.Counter("x.count").Add(3)
+	r.Gauge("x.gauge").Set(-4)
+	r.GaugeFunc("x.pull", func() int64 { return 42 })
+	names := func() []string {
+		var out []string
+		r.Do(
+			func(name string, _ int64) { out = append(out, name) },
+			func(name string, _ int64) { out = append(out, name) },
+			nil,
+		)
+		return out
+	}
+	before := fmt.Sprint(names())
+
+	for name, want := range map[string]int64{"x.count": 3, "x.gauge": -4, "x.pull": 42} {
+		if got, ok := r.Value(name); !ok || got != want {
+			t.Fatalf("Value(%q) = %d, %v; want %d, true", name, got, ok, want)
+		}
+	}
+	if got, ok := r.Value("x.cuont"); ok || got != 0 {
+		t.Fatalf("Value of an unregistered name = %d, %v; want 0, false", got, ok)
+	}
+	if after := fmt.Sprint(names()); after != before {
+		t.Fatalf("a Value miss registered a name: %s, was %s", after, before)
+	}
+	r.Unregister("x.pull")
+	if _, ok := r.Value("x.pull"); ok {
+		t.Fatal("Value found a name after Unregister")
+	}
+	var nilReg *Registry
+	if _, ok := nilReg.Value("x.count"); ok {
+		t.Fatal("nil registry reported a value")
+	}
+}
+
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Inc()

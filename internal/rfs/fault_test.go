@@ -56,7 +56,7 @@ func TestReadLargeUnderFaults(t *testing.T) {
 	// up in the server node's retransmission counter (the client node
 	// retransmits Sends). With ~12% loss over ≥64 data packets the run is
 	// vacuous if nothing was retransmitted.
-	retrans := e.serverNode.Stats().Retransmits + e.clientNode.Stats().Retransmits
+	retrans := metric(t, e.serverNode.Metrics(), "ipc.retransmits") + metric(t, e.clientNode.Metrics(), "ipc.retransmits")
 	if retrans == 0 {
 		t.Fatal("no retransmissions under fault injection; test is vacuous")
 	}
@@ -88,11 +88,11 @@ func TestWritesApplyExactlyOnceUnderFaults(t *testing.T) {
 		}
 	}
 	// ...and each write executed exactly once despite duplicate requests
-	// reaching the server (DupsFiltered counts them).
-	if st := e.srv.Stats(); st.PageWrites != writes {
-		t.Fatalf("server applied %d page writes, want exactly %d (%+v)", st.PageWrites, writes, st)
+	// reaching the server (ipc.dups_filtered counts them).
+	if n := metric(t, e.srv.Metrics(), "rfs.page_writes"); n != writes {
+		t.Fatalf("server applied %d page writes, want exactly %d", n, writes)
 	}
-	if e.serverNode.Stats().DupsFiltered == 0 {
+	if metric(t, e.serverNode.Metrics(), "ipc.dups_filtered") == 0 {
 		t.Log("note: fault seed produced no duplicate Sends this run")
 	}
 }

@@ -130,7 +130,7 @@ func TestTracedWriteMultiNodeTimeline(t *testing.T) {
 }
 
 // TestScrapeDuringFailover: stats scraping is a bystander. Concurrent
-// OpQueryStats scrapes and in-process Stats() reads keep running while
+// OpQueryStats scrapes and in-process registry reads keep running while
 // the primary is killed and the replica promotes, without blocking the
 // data path, erroring on live servers, or ever returning a torn
 // snapshot (histograms with impossible shapes, counters running
@@ -212,9 +212,21 @@ func TestScrapeDuringFailover(t *testing.T) {
 		}()
 	}
 
-	// In-process Stats() reader, the path vnode's shutdown print uses.
-	// It keeps polling both servers — including the one that gets killed
-	// mid-run: Stats() on a closed server reads frozen counters.
+	// In-process reader of every server counter and per-volume gauge by
+	// name. It keeps polling all servers — including the one that gets
+	// killed mid-run, whose Close unregisters its rfs.vol<id>.* gauges
+	// under the reader: a counter reads frozen, a vanished gauge reads
+	// false, and neither may race the teardown.
+	names := make([][]string, len(servers))
+	for i, srv := range servers {
+		names[i] = []string{"rfs.requests", "rfs.page_writes", "rfs.repl_applied", "rfs.promotions", "rfs.cache_watchers"}
+		for _, id := range srv.Volumes() {
+			for _, g := range []string{"cache_hits", "cache_misses", "dirty_blocks", "flush_runs", "flushed_blocks",
+				"flush_errs", "role", "repl_seq", "repl_insync", "repl_lag"} {
+				names[i] = append(names[i], fmt.Sprintf("rfs.vol%d.%s", id, g))
+			}
+		}
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -224,8 +236,10 @@ func TestScrapeDuringFailover(t *testing.T) {
 				return
 			default:
 			}
-			for _, srv := range servers {
-				_ = srv.Stats()
+			for i, srv := range servers {
+				for _, name := range names[i] {
+					_, _ = srv.Metrics().Value(name)
+				}
 			}
 		}
 	}()
@@ -278,7 +292,7 @@ func TestScrapeDuringFailover(t *testing.T) {
 
 	// The survivor must have answered scrapes during the storm.
 	survivor := shardWithRole(c, 1, RolePrimary)
-	if n := survivor.Srv.Stats().StatScrapes; n == 0 {
+	if n := metric(t, survivor.Srv.Metrics(), "rfs.stat_scrapes"); n == 0 {
 		t.Fatal("no stats scrapes recorded on the surviving shard")
 	}
 }

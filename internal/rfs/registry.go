@@ -38,10 +38,9 @@ type cacheRegistry struct {
 	now      func() time.Time // test hook (fake clocks for lease expiry)
 	nextReap time.Time        // earliest next registry-wide expired-watcher sweep
 
-	node     *ipc.Node
-	jobs     chan invJob
-	poolSize int
-	workers  sync.WaitGroup
+	node    *ipc.Node
+	jobs    chan invJob
+	workers sync.WaitGroup
 
 	registrations    *obs.Counter
 	callbacks        *obs.Counter
@@ -91,6 +90,11 @@ type invResult struct {
 // deadline (the registration is revoked like any other failure).
 var errCallbackTimeout = errors.New("rfs: invalidation callback timed out")
 
+// invalidators sizes the invalidation-callback worker pool: the
+// processes that Send OpInvalidate to registered caching clients while a
+// write waits for their acknowledgements.
+const invalidators = 4
+
 // newCacheRegistry starts the registry with a pool of invalidator
 // workers. Each callback exchange runs on a throwaway process attached
 // for the job and is abandoned — never waited on — past its deadline,
@@ -99,15 +103,14 @@ var errCallbackTimeout = errors.New("rfs: invalidation callback timed out")
 // goroutine, not a pool worker, and close never deadlocks behind it.
 // Abandoned exchanges self-clean when the Send finally fails (at the
 // latest when the node closes).
-func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, workers int, reg *obs.Registry) (*cacheRegistry, error) {
+func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, reg *obs.Registry) (*cacheRegistry, error) {
 	r := &cacheRegistry{
-		files:    make(map[volFile]*fileReg),
-		lease:    lease,
-		timeout:  timeout,
-		now:      time.Now,
-		node:     node,
-		jobs:     make(chan invJob),
-		poolSize: workers,
+		files:   make(map[volFile]*fileReg),
+		lease:   lease,
+		timeout: timeout,
+		now:     time.Now,
+		node:    node,
+		jobs:    make(chan invJob),
 
 		registrations:    reg.Counter("rfs.cache_registrations"),
 		callbacks:        reg.Counter("rfs.cache_callbacks"),
@@ -116,7 +119,7 @@ func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, workers int,
 		leaseExpiries:    reg.Counter("rfs.cache_lease_expiries"),
 		abandoned:        reg.Counter("rfs.cache_callbacks_abandoned"),
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < invalidators; i++ {
 		r.workers.Add(1)
 		go r.invalidator()
 	}
@@ -324,7 +327,7 @@ func (r *cacheRegistry) invalidate(vol, file, first, count uint32, owner ipc.Pid
 	// the revoked client's staleness is bounded by the lease + version
 	// machinery. done is buffered so a late worker never blocks on it.
 	done := make(chan invResult, len(targets))
-	rounds := (len(targets) + r.poolSize - 1) / r.poolSize
+	rounds := (len(targets) + invalidators - 1) / invalidators
 	timer := time.NewTimer(time.Duration(rounds)*r.timeout + r.timeout/4)
 	defer timer.Stop()
 	byCb := make(map[ipc.Pid]*watcher, len(targets))

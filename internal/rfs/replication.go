@@ -114,6 +114,14 @@ type replState struct {
 // farther back it pulls first, so a long catch-up never holds writes.
 const repPushSlack = 256
 
+// replicaLogMax and replicaLogMaxBytes bound the per-volume catch-up log
+// in records and bytes. A replica trimmed out of the log resyncs from a
+// snapshot instead.
+const (
+	replicaLogMax      = 1024
+	replicaLogMaxBytes = 4 << 20
+)
+
 func newReplState(s *Server, vol, seq uint32) *replState {
 	rs := &replState{
 		s:        s,
@@ -172,9 +180,7 @@ func (rs *replState) append(kind byte, file, off, trace uint32, parts ...[]byte)
 // lagging member's position is allowed — its next pull draws
 // StatusRepSnapshot and it resyncs.
 func (rs *replState) trimLocked() {
-	max := rs.s.cfg.ReplicaLogMax
-	maxBytes := rs.s.cfg.ReplicaLogMaxBytes
-	for len(rs.log) > max || rs.logBytes > maxBytes {
+	for len(rs.log) > replicaLogMax || rs.logBytes > replicaLogMaxBytes {
 		rs.logBytes -= len(rs.log[0].data)
 		rs.log = rs.log[1:]
 		rs.logStart++

@@ -126,8 +126,8 @@ func TestReplicatedReadFanOut(t *testing.T) {
 
 	rd := NewVolumeClient(attach(t, node, "reader"), r, 1)
 	rd.SpreadReads(true)
-	pReads := primary.Srv.Stats().PageReads
-	rReads := replica.Srv.Stats().PageReads
+	pReads := metric(t, primary.Srv.Metrics(), "rfs.page_reads")
+	rReads := metric(t, replica.Srv.Metrics(), "rfs.page_reads")
 	page := make([]byte, 512)
 	for i := 0; i < 10; i++ {
 		b := uint32(i % 4)
@@ -138,21 +138,21 @@ func TestReplicatedReadFanOut(t *testing.T) {
 			t.Fatalf("spread read %d returned wrong bytes", i)
 		}
 	}
-	if got := replica.Srv.Stats().PageReads - rReads; got == 0 {
+	if got := metric(t, replica.Srv.Metrics(), "rfs.page_reads") - rReads; got == 0 {
 		t.Fatal("replica served no reads under SpreadReads")
-	} else if primary.Srv.Stats().PageReads == pReads {
+	} else if metric(t, primary.Srv.Metrics(), "rfs.page_reads") == pReads {
 		t.Fatal("primary served no reads under SpreadReads")
 	}
 
 	// Writes from the spreading client still pin to the primary.
-	pWrites := primary.Srv.Stats().PageWrites
+	pWrites := metric(t, primary.Srv.Metrics(), "rfs.page_writes")
 	if err := rd.WriteBlock(9, 0, versionedPage(0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if primary.Srv.Stats().PageWrites == pWrites {
+	if metric(t, primary.Srv.Metrics(), "rfs.page_writes") == pWrites {
 		t.Fatal("write from a SpreadReads client did not reach the primary")
 	}
-	if got := replica.Srv.Stats().PageWrites; got != 0 {
+	if got := metric(t, replica.Srv.Metrics(), "rfs.page_writes"); got != 0 {
 		t.Fatalf("replica took %d direct writes", got)
 	}
 }
@@ -219,7 +219,7 @@ func TestReplicaKillPrimaryMidWriteBurst(t *testing.T) {
 
 	// The survivor promoted exactly once and now owns the volume.
 	srv := c.Servers[1].Srv
-	if got := srv.Stats().Promotions; got != 1 {
+	if got := metric(t, srv.Metrics(), "rfs.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 	if role, ok := srv.Role(1); !ok || role != RolePrimary {
@@ -271,7 +271,7 @@ func TestReplicaFailoverUDP(t *testing.T) {
 		}
 	}
 	srv := c.Servers[1].Srv
-	if got := srv.Stats().Promotions; got != 1 {
+	if got := metric(t, srv.Metrics(), "rfs.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 	page := make([]byte, 512)
@@ -331,7 +331,7 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	}
 	// Kill it again once the pull is demonstrably in progress.
 	waitUntil(t, 10*time.Second, "pull catch-up to start", func() bool {
-		n := c.Servers[2].Srv.Stats().ReplicaRecords
+		n := metric(t, c.Servers[2].Srv.Metrics(), "rfs.repl_applied")
 		return n > 0 && n < backlog
 	})
 	c.Kill(2)
@@ -459,7 +459,7 @@ func TestReplicaPromotionUnderLoss(t *testing.T) {
 	if got := pageVersion(page); got < lastAcked {
 		t.Fatalf("promoted replica lost acked writes under loss: v%d < v%d", got, lastAcked)
 	}
-	if got := c.Servers[1].Srv.Stats().Promotions; got != 1 {
+	if got := metric(t, c.Servers[1].Srv.Metrics(), "rfs.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 	// And it takes writes.
@@ -497,7 +497,7 @@ func TestReplicaFullCycle(t *testing.T) {
 			t.Fatal("writes never failed over to the replica")
 		}
 	}
-	if got := c.Servers[1].Srv.Stats().Promotions; got != 1 {
+	if got := metric(t, c.Servers[1].Srv.Metrics(), "rfs.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 

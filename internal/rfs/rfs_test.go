@@ -9,6 +9,7 @@ import (
 
 	"vkernel/internal/bufpool"
 	"vkernel/internal/ipc"
+	"vkernel/internal/obs"
 )
 
 // env is one server node + one client node with an rfs server running.
@@ -112,6 +113,19 @@ func (e *env) client(t testing.TB, name string) *Client {
 	return NewClient(p, e.srv.Pid())
 }
 
+// metric reads a registered counter or gauge by name, as a stats scrape
+// does; a name nobody registered fails the test instead of reading 0.
+// The single-volume test servers publish their cache and write-behind
+// gauges under rfs.vol0.*; Close unregisters those, so read them first.
+func metric(t testing.TB, reg *obs.Registry, name string) int64 {
+	t.Helper()
+	v, ok := reg.Value(name)
+	if !ok {
+		t.Fatalf("metric %q is not registered", name)
+	}
+	return v
+}
+
 // pattern fills a deterministic, file-distinct byte pattern.
 func pattern(file uint32, n int) []byte {
 	out := make([]byte, n)
@@ -156,9 +170,9 @@ func TestPageReadWrite(t *testing.T) {
 		t.Fatalf("size = %d, want %d", size, 8*512)
 	}
 
-	st := e.srv.Stats()
-	if st.PageReads != 2 || st.PageWrites != 1 {
-		t.Fatalf("stats: %+v", st)
+	reads, writes := metric(t, e.srv.Metrics(), "rfs.page_reads"), metric(t, e.srv.Metrics(), "rfs.page_writes")
+	if reads != 2 || writes != 1 {
+		t.Fatalf("rfs.page_reads = %d, rfs.page_writes = %d; want 2 and 1", reads, writes)
 	}
 }
 
@@ -292,8 +306,9 @@ func TestLoadProgram(t *testing.T) {
 	if !bytes.Equal(got, image) {
 		t.Fatal("program image corrupted")
 	}
-	if st := e.srv.Stats(); st.LargeReads != 1 || st.PageReads != 1 || st.Queries != 1 {
-		t.Fatalf("load sequence stats: %+v", st)
+	large, pages, queries := metric(t, e.srv.Metrics(), "rfs.large_reads"), metric(t, e.srv.Metrics(), "rfs.page_reads"), metric(t, e.srv.Metrics(), "rfs.queries")
+	if large != 1 || pages != 1 || queries != 1 {
+		t.Fatalf("load sequence: large_reads=%d page_reads=%d queries=%d, want 1 each", large, pages, queries)
 	}
 }
 
@@ -378,8 +393,8 @@ func TestConcurrentClientsSharedFile(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := e.srv.Stats(); st.CacheHits == 0 {
-		t.Fatalf("no cache hits across shared reads: %+v", st)
+	if metric(t, e.srv.Metrics(), "rfs.vol0.cache_hits") == 0 {
+		t.Fatal("no cache hits across shared reads")
 	}
 }
 
@@ -557,11 +572,11 @@ func TestReadAheadWarmsCache(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(time.Second)
-	for e.srv.Stats().Prefetches == 0 && time.Now().Before(deadline) {
+	for metric(t, e.srv.Metrics(), "rfs.prefetches") == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if st := e.srv.Stats(); st.Prefetches == 0 {
-		t.Fatalf("read-ahead never prefetched: %+v", st)
+	if metric(t, e.srv.Metrics(), "rfs.prefetches") == 0 {
+		t.Fatal("read-ahead never prefetched")
 	}
 }
 
@@ -580,8 +595,9 @@ func TestColdReadsCountOneMissEach(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := e.srv.Stats(); st.CacheMisses != blocks || st.CacheHits != 0 {
-		t.Fatalf("%d cold reads: misses=%d hits=%d, want %d and 0", blocks, st.CacheMisses, st.CacheHits, blocks)
+	misses, hits := metric(t, e.srv.Metrics(), "rfs.vol0.cache_misses"), metric(t, e.srv.Metrics(), "rfs.vol0.cache_hits")
+	if misses != blocks || hits != 0 {
+		t.Fatalf("%d cold reads: misses=%d hits=%d, want %d and 0", blocks, misses, hits, blocks)
 	}
 }
 
@@ -600,15 +616,21 @@ func TestFastPathReadsTimed(t *testing.T) {
 	}
 	e.srv.Metrics().SetTiming(true)
 	hist := e.srv.Metrics().Histogram("rfs.op.read_block")
-	before, hits := hist.Stat().Count, e.srv.Stats().CacheHits
+	before, hits := hist.Stat().Count, metric(t, e.srv.Metrics(), "rfs.vol0.cache_hits")
 	const reads = 32
 	for i := 0; i < reads; i++ {
 		if _, err := c.ReadBlock(4, 0, page); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := e.srv.Stats().CacheHits - hits; got != reads {
+	if got := metric(t, e.srv.Metrics(), "rfs.vol0.cache_hits") - hits; got != reads {
 		t.Fatalf("cache hits = %d, want %d: the reads did not take the fast path", got, reads)
+	}
+	// The receive loop records a read's sample after its reply is on the
+	// wire, so the last sample may land just after the client returns.
+	deadline := time.Now().Add(time.Second)
+	for hist.Stat().Count-before < reads && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if got := hist.Stat().Count - before; got != reads {
 		t.Fatalf("rfs.op.read_block samples = %d for %d cached reads", got, reads)

@@ -85,10 +85,6 @@ type Config struct {
 	// most one lease before the forced re-registration's version check
 	// purges them.
 	CacheLease time.Duration
-	// Invalidators sizes the invalidation-callback worker pool (0 → 4):
-	// the processes that Send OpInvalidate to registered caching clients
-	// while a write waits for their acknowledgements.
-	Invalidators int
 	// CallbackTimeout bounds one write's whole invalidation fan-out
 	// (0 → 1s). Registrations that have not acknowledged by then are
 	// revoked and the write acknowledged anyway — a misbehaving callback
@@ -105,11 +101,6 @@ type Config struct {
 	// from the in-sync set, so a dead replica costs the write path one
 	// timeout, once, instead of wedging it.
 	ReplicaAckTimeout time.Duration
-	// ReplicaLogMax and ReplicaLogMaxBytes bound the per-volume catch-up
-	// log in records and bytes (0 → 1024 / 4 MiB). A replica trimmed out
-	// of the log resyncs from a snapshot instead.
-	ReplicaLogMax      int
-	ReplicaLogMaxBytes int
 }
 
 func (c Config) withDefaults() Config {
@@ -158,9 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheLease <= 0 {
 		c.CacheLease = 2 * time.Second
 	}
-	if c.Invalidators <= 0 {
-		c.Invalidators = 4
-	}
 	if c.CallbackTimeout <= 0 {
 		c.CallbackTimeout = time.Second
 	}
@@ -170,62 +158,13 @@ func (c Config) withDefaults() Config {
 	if c.ReplicaAckTimeout <= 0 {
 		c.ReplicaAckTimeout = time.Second
 	}
-	if c.ReplicaLogMax <= 0 {
-		c.ReplicaLogMax = 1024
-	}
-	if c.ReplicaLogMaxBytes <= 0 {
-		c.ReplicaLogMaxBytes = 4 << 20
-	}
 	return c
-}
-
-// Stats is a snapshot of server activity.
-type Stats struct {
-	Requests     int64
-	PageReads    int64
-	PageWrites   int64
-	LargeReads   int64
-	LargeWrites  int64
-	Queries      int64
-	Creates      int64
-	Syncs        int64
-	BadRequests  int64
-	BytesRead    int64
-	BytesWritten int64
-	CacheHits    int64
-	CacheMisses  int64
-	Prefetches   int64
-	// Write-behind activity: blocks currently staged, flush writes
-	// issued (each covering a coalesced run), blocks those runs covered,
-	// and store errors the flushers absorbed.
-	DirtyBlocks   int64
-	FlushRuns     int64
-	FlushedBlocks int64
-	FlushErrors   int64
-	// Client-cache consistency protocol activity: registrations
-	// processed (including renewals), live registrations, invalidation
-	// callbacks sent, callbacks that failed (registration revoked),
-	// fan-outs cut short by CallbackTimeout, and registrations reaped at
-	// lease expiry.
-	CacheRegistrations    int64
-	CacheWatchers         int64
-	CacheCallbacks        int64
-	CacheCallbackErrs     int64
-	CacheCallbackTimeouts int64
-	CacheLeaseExpiries    int64
-	// Replication activity: replica volumes promoted to primary, records
-	// applied while in replica role, and snapshot resyncs run.
-	Promotions     int64
-	ReplicaRecords int64
-	ReplicaResyncs int64
-	// StatScrapes counts OpQueryStats exchanges served.
-	StatScrapes int64
 }
 
 // serverCounters are the server's rfs.* registry counters, held as
 // direct pointers so the hot paths skip the registry's name lookup.
-// The names below ARE the scrape schema: Stats() is a thin view over
-// them and cmd/vstat renders them by name.
+// The names below ARE the scrape schema: cmd/vstat renders them, and
+// tests and tools read them, by name (Metrics().Value).
 type serverCounters struct {
 	requests    *obs.Counter
 	pageReads   *obs.Counter
@@ -504,7 +443,7 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 		s.volumes[spec.ID] = v
 		s.registerVolumeGauges(v)
 	}
-	registry, err := newCacheRegistry(node, s.cfg.CacheLease, s.cfg.CallbackTimeout, s.cfg.Invalidators, s.metrics)
+	registry, err := newCacheRegistry(node, s.cfg.CacheLease, s.cfg.CallbackTimeout, s.metrics)
 	if err != nil {
 		cleanup()
 		return nil, err
@@ -659,46 +598,6 @@ func (s *Server) Volumes() []uint32 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Stats returns a snapshot of the server counters; cache and
-// write-behind figures are aggregated across the hosted volumes.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		Requests:     s.stats.requests.Load(),
-		PageReads:    s.stats.pageReads.Load(),
-		PageWrites:   s.stats.pageWrites.Load(),
-		LargeReads:   s.stats.largeReads.Load(),
-		LargeWrites:  s.stats.largeWrites.Load(),
-		Queries:      s.stats.queries.Load(),
-		Creates:      s.stats.creates.Load(),
-		Syncs:        s.stats.syncs.Load(),
-		BadRequests:  s.stats.badRequests.Load(),
-		BytesRead:    s.stats.bytesRead.Load(),
-		BytesWritten: s.stats.bytesWrite.Load(),
-		Prefetches:   s.stats.prefetches.Load(),
-
-		CacheRegistrations:    s.registry.registrations.Load(),
-		CacheWatchers:         int64(s.registry.watcherCount()),
-		CacheCallbacks:        s.registry.callbacks.Load(),
-		CacheCallbackErrs:     s.registry.callbackErrs.Load(),
-		CacheCallbackTimeouts: s.registry.callbackTimeouts.Load(),
-		CacheLeaseExpiries:    s.registry.leaseExpiries.Load(),
-
-		Promotions:     s.stats.promotions.Load(),
-		ReplicaRecords: s.stats.replApplied.Load(),
-		ReplicaResyncs: s.stats.replResyncs.Load(),
-		StatScrapes:    s.stats.statScrapes.Load(),
-	}
-	for _, v := range s.volumes {
-		st.CacheHits += v.cache.hits.Load()
-		st.CacheMisses += v.cache.misses.Load()
-		st.DirtyBlocks += int64(v.cache.dirtyBlocks())
-		st.FlushRuns += v.cache.flushRuns.Load()
-		st.FlushedBlocks += v.cache.flushedBlocks.Load()
-		st.FlushErrors += v.cache.flushErrs.Load()
-	}
-	return st
 }
 
 // Flush drains every volume's staged writes to its store (write-behind's

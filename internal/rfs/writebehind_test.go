@@ -85,8 +85,8 @@ func TestWriteBehindReadYourWrites(t *testing.T) {
 	if size, err := c.QueryFile(9); err != nil || size != wantSize {
 		t.Fatalf("staged size = %d (err=%v), want %d", size, err, wantSize)
 	}
-	if st := e.srv.Stats(); st.DirtyBlocks == 0 {
-		t.Fatalf("no dirty blocks while the gate is shut: %+v", st)
+	if metric(t, e.srv.Metrics(), "rfs.vol0.dirty_blocks") == 0 {
+		t.Fatal("no dirty blocks while the gate is shut")
 	}
 
 	// Open the gate, sync, and verify durability straight off the store.
@@ -94,8 +94,9 @@ func TestWriteBehindReadYourWrites(t *testing.T) {
 	if err := c.Sync(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.srv.Stats(); st.DirtyBlocks != 0 || st.FlushedBlocks == 0 {
-		t.Fatalf("sync left dirty blocks: %+v", st)
+	dirty, flushed := metric(t, e.srv.Metrics(), "rfs.vol0.dirty_blocks"), metric(t, e.srv.Metrics(), "rfs.vol0.flushed_blocks")
+	if dirty != 0 || flushed == 0 {
+		t.Fatalf("sync left dirty blocks: dirty_blocks=%d flushed_blocks=%d", dirty, flushed)
 	}
 	back := make([]byte, wantSize)
 	if _, err := mem.ReadAt(9, back, 0); err != nil {
@@ -176,7 +177,7 @@ func TestWriteBehindBackpressure(t *testing.T) {
 	deadline := time.Now().Add(200 * time.Millisecond)
 	sawBudget := false
 	for time.Now().Before(deadline) {
-		if n := e.srv.Stats().DirtyBlocks; n > budget {
+		if n := metric(t, e.srv.Metrics(), "rfs.vol0.dirty_blocks"); n > budget {
 			t.Fatalf("dirty blocks %d exceed budget %d", n, budget)
 		} else if n == budget {
 			sawBudget = true
@@ -233,8 +234,8 @@ func TestWriteBehindExactlyOnceUnderFaults(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if st := e.srv.Stats(); st.PageWrites != writes {
-		t.Fatalf("server applied %d page writes, want exactly %d", st.PageWrites, writes)
+	if n := metric(t, e.srv.Metrics(), "rfs.page_writes"); n != writes {
+		t.Fatalf("server applied %d page writes, want exactly %d", n, writes)
 	}
 	buf := make([]byte, 512)
 	for i := 0; i < writes; i++ {
@@ -301,7 +302,7 @@ func TestWriteLargeScatterUnderFaults(t *testing.T) {
 	// The MoveFrom stream runs client→server on the server's pull, so
 	// its resume machinery shows up in the retransmission counters; with
 	// ~12% loss over ≥64 data packets the run is vacuous without any.
-	if e.serverNode.Stats().Retransmits+e.clientNode.Stats().Retransmits == 0 {
+	if metric(t, e.serverNode.Metrics(), "ipc.retransmits")+metric(t, e.clientNode.Metrics(), "ipc.retransmits") == 0 {
 		t.Fatal("no retransmissions under fault injection; test is vacuous")
 	}
 }
@@ -591,11 +592,10 @@ func TestOverloadGoodputWithRetry(t *testing.T) {
 				t.Fatal(err)
 			}
 			elapsed := time.Since(start)
-			st := e.srv.Stats()
-			if st.PageWrites != clients*writes {
-				t.Fatalf("server executed %d writes, want exactly %d", st.PageWrites, clients*writes)
+			if n := metric(t, e.srv.Metrics(), "rfs.page_writes"); n != clients*writes {
+				t.Fatalf("server executed %d writes, want exactly %d", n, clients*writes)
 			}
-			nacks := e.serverNode.Stats().NacksSent
+			nacks := metric(t, e.serverNode.Metrics(), "ipc.nacks_sent")
 			t.Logf("queue depth %d: goodput %.0f writes/s, %d overload retries, %d nacks",
 				depth, float64(clients*writes)/elapsed.Seconds(), retries.Load(), nacks)
 			if depth == 2 && retries.Load() == 0 {
@@ -719,8 +719,8 @@ func TestMaxDirtyAgeTrickle(t *testing.T) {
 	if n := gated.writes.Load(); n != 0 {
 		t.Fatalf("scheduled flusher wrote %d times with a young block", n)
 	}
-	if st := e.srv.Stats(); st.DirtyBlocks != 1 {
-		t.Fatalf("block not held dirty: %+v", st)
+	if n := metric(t, e.srv.Metrics(), "rfs.vol0.dirty_blocks"); n != 1 {
+		t.Fatalf("block not held dirty: rfs.vol0.dirty_blocks = %d", n)
 	}
 	// A trickle pass before the block ages is a no-op.
 	e.srv.volumes[DefaultVolume].cache.tricklePass()
@@ -733,8 +733,8 @@ func TestMaxDirtyAgeTrickle(t *testing.T) {
 	if n := gated.writes.Load(); n != 1 {
 		t.Fatalf("aged block not trickled out (writes=%d)", n)
 	}
-	if st := e.srv.Stats(); st.DirtyBlocks != 0 {
-		t.Fatalf("trickled block still dirty: %+v", st)
+	if n := metric(t, e.srv.Metrics(), "rfs.vol0.dirty_blocks"); n != 0 {
+		t.Fatalf("trickled block still dirty: rfs.vol0.dirty_blocks = %d", n)
 	}
 	back := make([]byte, 512)
 	if _, err := mem.ReadAt(5, back, 0); err != nil {
